@@ -13,6 +13,7 @@ logic — the controller is the only party that observes merged graphs
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -58,6 +59,13 @@ class AppStatement:
         return hierarchy.in_scope(obi_segment, self.segment)
 
 
+#: How many recent alerts the controller and each application retain.
+#: Alert logs live as long as the process and alerts arrive at packet
+#: rate, so they are rings; the monotonic count is the
+#: ``controller_alerts_received_total`` metric.
+ALERT_LOG_SIZE = 1024
+
+
 class OpenBoxApplication:
     """Base class for OpenBox applications.
 
@@ -76,7 +84,10 @@ class OpenBoxApplication:
         self.priority = priority
         self.mergeable = mergeable
         self.controller: "OpenBoxController | None" = None
-        self.alerts_received: list[Alert] = []
+        #: The most recent alerts only (see :data:`ALERT_LOG_SIZE`).
+        self.alerts_received: collections.deque[Alert] = collections.deque(
+            maxlen=ALERT_LOG_SIZE
+        )
 
     # ------------------------------------------------------------------
     # To implement in subclasses

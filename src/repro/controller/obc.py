@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.controller.aggregator import AggregationResult, GraphAggregator
-from repro.controller.apps import OpenBoxApplication
+from repro.controller.apps import ALERT_LOG_SIZE, OpenBoxApplication
 from repro.controller.journal import JournalState, ReplayResult, StateJournal
 from repro.controller.results import (
     AppStatsView,
@@ -116,7 +116,11 @@ class OpenBoxController:
         self.applications: dict[str, OpenBoxApplication] = {}
         self.obis: dict[str, ObiHandle] = {}
         self.auto_deploy = auto_deploy
-        self.alerts: list[Alert] = []
+        #: The most recent alerts from the whole fleet (a ring: see
+        #: ``ALERT_LOG_SIZE``); ``controller_alerts_received_total`` counts.
+        self.alerts: collections.deque[Alert] = collections.deque(
+            maxlen=ALERT_LOG_SIZE
+        )
         self.logs: list[LogMessage] = []
         #: Split-brain fencing epoch: bumped (durably, before any message
         #: is sent) every time a controller recovers from a journal, so

@@ -7,6 +7,8 @@ import struct
 from dataclasses import dataclass, field
 
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:\-]){5}[0-9a-fA-F]{2}$")
+_MACS_TYPE = struct.Struct("!6s6sH")
+_TCI_TYPE = struct.Struct("!HH")
 
 
 class EtherType:
@@ -118,22 +120,21 @@ class EthernetHeader:
     @classmethod
     def parse(cls, data: bytes | memoryview, offset: int = 0) -> "EthernetHeader":
         """Parse an Ethernet header (and any stacked VLAN tags) from ``data``."""
-        buf = bytes(data)
-        if len(buf) - offset < cls.HEADER_LEN:
+        # Literals, not class attributes: this runs once per packet.
+        # 14 = HEADER_LEN, 4 = VLAN_TAG_LEN, 0x8100 = EtherType.VLAN.
+        buf = data if type(data) is bytes else bytes(data)
+        if len(buf) - offset < 14:
             raise ValueError("truncated Ethernet header")
-        dst = MacAddress(buf[offset : offset + 6])
-        src = MacAddress(buf[offset + 6 : offset + 12])
-        pos = offset + 12
+        dst, src, ethertype = _MACS_TYPE.unpack_from(buf, offset)
         tags: list[VlanTag] = []
-        (ethertype,) = struct.unpack_from("!H", buf, pos)
-        pos += 2
-        while ethertype == EtherType.VLAN:
+        pos = offset + 14
+        while ethertype == 0x8100:
             if len(buf) - pos < 4:
                 raise ValueError("truncated 802.1Q tag")
-            (tci, ethertype) = struct.unpack_from("!HH", buf, pos)
+            tci, ethertype = _TCI_TYPE.unpack_from(buf, pos)
             tags.append(VlanTag.from_tci(tci))
             pos += 4
-        return cls(dst=dst, src=src, ethertype=ethertype, vlan_tags=tags)
+        return cls(MacAddress(dst), MacAddress(src), ethertype, tags)
 
     def serialize(self) -> bytes:
         parts = [self.dst.raw, self.src.raw]

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 from repro.net.checksum import internet_checksum
 
+_HEADER = struct.Struct("!BBHHHBBHII")
+
 
 class IpProto:
     """Well-known IP protocol numbers."""
@@ -34,7 +36,7 @@ def int_to_ip(value: int) -> str:
     """Convert a 32-bit integer to dotted-quad notation."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 address out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 def parse_cidr(text: str) -> tuple[int, int]:
@@ -93,34 +95,27 @@ class Ipv4Header:
 
     @classmethod
     def parse(cls, data: bytes | memoryview, offset: int = 0) -> "Ipv4Header":
-        buf = bytes(data)
-        if len(buf) - offset < cls.MIN_HEADER_LEN:
+        buf = data if type(data) is bytes else bytes(data)
+        if len(buf) - offset < 20:  # MIN_HEADER_LEN (per-packet path)
             raise ValueError("truncated IPv4 header")
         (ver_ihl, tos, total_length, identification, flags_frag, ttl, proto,
-         checksum, src, dst) = struct.unpack_from("!BBHHHBBHII", buf, offset)
-        version = ver_ihl >> 4
-        if version != 4:
-            raise ValueError(f"not an IPv4 packet (version={version})")
-        ihl = ver_ihl & 0x0F
-        if ihl < 5:
-            raise ValueError(f"invalid IHL: {ihl}")
-        header_len = ihl * 4
-        if len(buf) - offset < header_len:
-            raise ValueError("truncated IPv4 options")
-        options = buf[offset + cls.MIN_HEADER_LEN : offset + header_len]
+         checksum, src, dst) = _HEADER.unpack_from(buf, offset)
+        if ver_ihl == 0x45:  # IPv4, no options: the common case
+            options = b""
+        else:
+            version = ver_ihl >> 4
+            if version != 4:
+                raise ValueError(f"not an IPv4 packet (version={version})")
+            ihl = ver_ihl & 0x0F
+            if ihl < 5:
+                raise ValueError(f"invalid IHL: {ihl}")
+            if len(buf) - offset < ihl * 4:
+                raise ValueError("truncated IPv4 options")
+            options = buf[offset + 20 : offset + ihl * 4]
         return cls(
-            src=src,
-            dst=dst,
-            proto=proto,
-            total_length=total_length,
-            ttl=ttl,
-            identification=identification,
-            dscp=tos >> 2,
-            ecn=tos & 0x3,
-            flags=(flags_frag >> 13) & 0x7,
-            frag_offset=flags_frag & 0x1FFF,
-            checksum=checksum,
-            options=options,
+            src, dst, proto, total_length, ttl, identification,
+            tos >> 2, tos & 0x3, flags_frag >> 13, flags_frag & 0x1FFF,
+            checksum, options,
         )
 
     def serialize(self, payload_len: int | None = None) -> bytes:
@@ -135,8 +130,7 @@ class Ipv4Header:
             self.total_length = self.header_len + payload_len
         tos = (self.dscp << 2) | self.ecn
         flags_frag = ((self.flags & 0x7) << 13) | (self.frag_offset & 0x1FFF)
-        header = struct.pack(
-            "!BBHHHBBHII",
+        header = _HEADER.pack(
             (4 << 4) | self.ihl,
             tos,
             self.total_length,

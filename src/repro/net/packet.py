@@ -19,11 +19,39 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.net.ethernet import EtherType, EthernetHeader
-from repro.net.ip import IpProto, Ipv4Header
+from repro.net.ip import IpProto, Ipv4Header, int_to_ip
 from repro.net.tcp import TcpHeader
 from repro.net.udp import UdpHeader
 
 _packet_ids = itertools.count(1)
+_IPV4 = EtherType.IPV4
+_TCP = IpProto.TCP
+_UDP = IpProto.UDP
+
+
+def format_summary(fields: tuple[int, ...] | str) -> str:
+    """Render what :meth:`Packet.summary_fields` captured as one line
+    (a summary that was captured as text already passes through)."""
+    if type(fields) is str:
+        return fields
+    if len(fields) == 2:
+        return "pkt#%d len=%d non-ip" % fields
+    proto = fields[2]
+    name = "tcp" if proto == _TCP else "udp" if proto == _UDP else str(proto)
+    ports = " %d->%d" % fields[5:] if len(fields) == 7 else ""
+    return (
+        f"pkt#{fields[0]} len={fields[1]} {name} "
+        f"{int_to_ip(fields[3])}->{int_to_ip(fields[4])}{ports}"
+    )
+
+
+def safe_summary(packet: "Packet") -> str:
+    """:meth:`Packet.summary`, for callers that must describe a frame
+    even when the frame itself is hostile."""
+    try:
+        return packet.summary()
+    except Exception:  # noqa: BLE001 — whatever the frame provoked
+        return f"unparseable frame len={len(packet.data)}"
 
 
 @dataclass
@@ -34,7 +62,7 @@ class Packet:
     timestamp: float = 0.0
     ingress_port: str | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     _eth: EthernetHeader | None = field(default=None, repr=False)
     _ipv4: Ipv4Header | None = field(default=None, repr=False)
@@ -52,23 +80,25 @@ class Packet:
         if self._parsed:
             return
         self._parsed = True
+        data = self.data
         try:
-            self._eth = EthernetHeader.parse(self.data)
+            eth = self._eth = EthernetHeader.parse(data)
         except ValueError:
             return
-        offset = self._eth.header_len
-        if self._eth.ethertype != EtherType.IPV4:
+        if eth.ethertype != _IPV4:
             return
+        offset = eth.header_len
         try:
-            self._ipv4 = Ipv4Header.parse(self.data, offset)
+            ipv4 = self._ipv4 = Ipv4Header.parse(data, offset)
         except ValueError:
             return
-        offset += self._ipv4.header_len
+        offset += ipv4.header_len
+        proto = ipv4.proto
         try:
-            if self._ipv4.proto == IpProto.TCP:
-                self._l4 = TcpHeader.parse(self.data, offset)
-            elif self._ipv4.proto == IpProto.UDP:
-                self._l4 = UdpHeader.parse(self.data, offset)
+            if proto == _TCP:
+                self._l4 = TcpHeader.parse(data, offset)
+            elif proto == _UDP:
+                self._l4 = UdpHeader.parse(data, offset)
         except ValueError:
             self._l4 = None
 
@@ -190,16 +220,29 @@ class Packet:
         self._parsed = False
         self._dirty = False
 
+    def summary_fields(self) -> tuple[int, ...]:
+        """The integers :meth:`summary` prints, captured now.
+
+        ``(id, length)`` for a non-IP frame, plus ``(proto, src, dst)``
+        for IPv4, plus ``(src_port, dst_port)`` when L4 parsed. Blocks
+        that describe a packet (Alert, Log, the history ring) keep this
+        tuple and leave :func:`format_summary` to whoever reads it: a
+        later rewrite of the packet cannot change what they saw, and
+        text nobody reads is never produced.
+        """
+        if not self._parsed:
+            self._parse()
+        ipv4 = self._ipv4
+        if ipv4 is None:
+            return (self.packet_id, len(self.data))
+        l4 = self._l4
+        if l4 is None:
+            return (self.packet_id, len(self.data), ipv4.proto, ipv4.src, ipv4.dst)
+        return (
+            self.packet_id, len(self.data), ipv4.proto, ipv4.src, ipv4.dst,
+            l4.src_port, l4.dst_port,
+        )
+
     def summary(self) -> str:
         """One-line human-readable description, for logs and debugging."""
-        self._parse()
-        if self._ipv4 is None:
-            return f"pkt#{self.packet_id} len={len(self.data)} non-ip"
-        proto = {IpProto.TCP: "tcp", IpProto.UDP: "udp"}.get(self._ipv4.proto, str(self._ipv4.proto))
-        ports = ""
-        if self._l4 is not None:
-            ports = f" {self._l4.src_port}->{self._l4.dst_port}"
-        return (
-            f"pkt#{self.packet_id} len={len(self.data)} {proto} "
-            f"{self._ipv4.src_text}->{self._ipv4.dst_text}{ports}"
-        )
+        return format_summary(self.summary_fields())

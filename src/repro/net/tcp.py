@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from repro.net.checksum import internet_checksum, pseudo_header_sum
 from repro.net.ip import IpProto
 
+_HEADER = struct.Struct("!HHIIHHHH")
+
 
 class TcpFlags:
     """TCP flag bits."""
@@ -62,27 +64,23 @@ class TcpHeader:
 
     @classmethod
     def parse(cls, data: bytes | memoryview, offset: int = 0) -> "TcpHeader":
-        buf = bytes(data)
-        if len(buf) - offset < cls.MIN_HEADER_LEN:
+        buf = data if type(data) is bytes else bytes(data)
+        if len(buf) - offset < 20:  # MIN_HEADER_LEN (per-packet path)
             raise ValueError("truncated TCP header")
         (src_port, dst_port, seq, ack, off_flags, window, checksum,
-         urgent) = struct.unpack_from("!HHIIHHHH", buf, offset)
-        data_offset = (off_flags >> 12) & 0xF
-        if data_offset < 5:
+         urgent) = _HEADER.unpack_from(buf, offset)
+        data_offset = off_flags >> 12
+        if data_offset == 5:  # no options: the common case
+            options = b""
+        elif data_offset < 5:
             raise ValueError(f"invalid TCP data offset: {data_offset}")
-        header_len = data_offset * 4
-        if len(buf) - offset < header_len:
+        elif len(buf) - offset < data_offset * 4:
             raise ValueError("truncated TCP options")
+        else:
+            options = buf[offset + 20 : offset + data_offset * 4]
         return cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=off_flags & 0x1FF,
-            window=window,
-            checksum=checksum,
-            urgent=urgent,
-            options=buf[offset + cls.MIN_HEADER_LEN : offset + header_len],
+            src_port, dst_port, seq, ack, off_flags & 0x1FF, window,
+            checksum, urgent, options,
         )
 
     def serialize(
@@ -100,8 +98,7 @@ class TcpHeader:
         if len(self.options) % 4:
             raise ValueError("TCP options must be padded to 32-bit words")
         off_flags = (self.data_offset << 12) | (self.flags & 0x1FF)
-        header = struct.pack(
-            "!HHIIHHHH",
+        header = _HEADER.pack(
             self.src_port,
             self.dst_port,
             self.seq,

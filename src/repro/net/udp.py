@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from repro.net.checksum import internet_checksum, pseudo_header_sum
 from repro.net.ip import IpProto
 
+_HEADER = struct.Struct("!HHHH")
+
 
 @dataclass(slots=True)
 class UdpHeader:
@@ -22,13 +24,12 @@ class UdpHeader:
 
     @classmethod
     def parse(cls, data: bytes | memoryview, offset: int = 0) -> "UdpHeader":
-        buf = bytes(data)
-        if len(buf) - offset < cls.HEADER_LEN:
+        if len(data) - offset < 8:  # HEADER_LEN (per-packet path)
             raise ValueError("truncated UDP header")
-        src_port, dst_port, length, checksum = struct.unpack_from("!HHHH", buf, offset)
-        if length < cls.HEADER_LEN:
+        src_port, dst_port, length, checksum = _HEADER.unpack_from(data, offset)
+        if length < 8:
             raise ValueError(f"invalid UDP length: {length}")
-        return cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
+        return cls(src_port, dst_port, length, checksum)
 
     def serialize(
         self,
@@ -41,7 +42,7 @@ class UdpHeader:
         Per RFC 768, a computed checksum of zero is transmitted as 0xFFFF.
         """
         self.length = self.HEADER_LEN + len(payload)
-        header = struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)
+        header = _HEADER.pack(self.src_port, self.dst_port, self.length, 0)
         if src_ip is not None and dst_ip is not None:
             initial = pseudo_header_sum(src_ip, dst_ip, IpProto.UDP, self.length)
             checksum = internet_checksum(header + payload, initial)

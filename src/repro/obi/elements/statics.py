@@ -19,12 +19,13 @@ class AlertElement(Element):
     def process(self, packet: Packet) -> list[tuple[int, Packet]]:
         outcome = self.context.current if self.context is not None else None
         if outcome is not None:
+            config = self.config
             outcome.alerts.append(AlertEvent(
-                block=self.name,
-                origin_app=self.origin_app or self.config.get("origin_app"),
-                message=self.config.get("message", ""),
-                severity=self.config.get("severity", "info"),
-                packet_summary=packet.summary(),
+                self.name,
+                self.origin_app or config.get("origin_app"),
+                config.get("message", ""),
+                config.get("severity", "info"),
+                packet.summary_fields(),
             ))
         return [(0, packet)]
 
@@ -37,7 +38,7 @@ class LogElement(Element):
             block=self.name,
             origin_app=self.origin_app or self.config.get("origin_app"),
             message=self.config.get("message", ""),
-            packet_summary=packet.summary(),
+            packet_summary=packet.summary_fields(),
         )
         outcome = self.context.current if self.context is not None else None
         if outcome is not None:

@@ -16,36 +16,76 @@ OBI performance. The significant parameter is the length of paths".
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.graph import ProcessingGraph
-from repro.net.packet import Packet
+from repro.net.packet import Packet, format_summary, safe_summary
 from repro.obi.fastpath import DecisionRecorder, flow_key
 from repro.obi.storage import SessionStorage
 from repro.observability.metrics import SIZE_BUCKETS
 
 
-@dataclass
-class AlertEvent:
-    """An Alert block fired while processing a packet."""
+class _Record:
+    """Dataclass-style ``==`` and ``repr`` over ``_fields``, for the
+    records made per packet and per alert (slots and a plain ``__init__``
+    instead of dataclass machinery)."""
 
-    block: str
-    origin_app: str | None
-    message: str
-    severity: str
-    packet_summary: str
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass
-class LogEvent:
-    """A Log block fired while processing a packet."""
+class LogEvent(_Record):
+    """A Log block fired while processing a packet.
 
-    block: str
-    origin_app: str | None
-    message: str
-    packet_summary: str
+    ``packet_summary`` is given as text or as the tuple
+    ``Packet.summary_fields()`` captured when the block ran, formatted on
+    read: an event nobody reads (an alert coalesced away) never pays for
+    text, and a downstream rewrite cannot change what the block saw.
+    """
+
+    __slots__ = ("block", "origin_app", "message", "_summary")
+    _fields = ("block", "origin_app", "message", "packet_summary")
+
+    def __init__(
+        self, block: str, origin_app: str | None, message: str,
+        packet_summary: str | tuple[int, ...],
+    ) -> None:
+        self.block = block
+        self.origin_app = origin_app
+        self.message = message
+        self._summary = packet_summary
+
+    @property
+    def packet_summary(self) -> str:
+        return format_summary(self._summary)
+
+
+class AlertEvent(LogEvent):
+    """An Alert block fired while processing a packet: what a log event
+    carries, plus a severity."""
+
+    __slots__ = ("severity",)
+    _fields = ("block", "origin_app", "message", "severity", "packet_summary")
+
+    def __init__(
+        self, block: str, origin_app: str | None, message: str, severity: str,
+        packet_summary: str | tuple[int, ...],
+    ) -> None:
+        self.block = block
+        self.origin_app = origin_app
+        self.message = message
+        self.severity = severity
+        self._summary = packet_summary
 
 
 @dataclass
@@ -60,21 +100,30 @@ class ErrorEvent:
     packet_summary: str
 
 
-@dataclass
-class PacketOutcome:
-    """Everything that happened to one injected packet."""
+class PacketOutcome(_Record):
+    """Everything that happened to one injected packet.
 
-    outputs: list[tuple[str, Packet]] = field(default_factory=list)
-    dropped: bool = False
-    punted: bool = False
-    #: Shed by the OBI's admission gate before reaching the graph.
-    shed: bool = False
-    alerts: list[AlertEvent] = field(default_factory=list)
-    logs: list[LogEvent] = field(default_factory=list)
-    #: Contained element faults (diagnostics; the externally observable
-    #: consequence — drop/bypass/punt — is reflected in the fields above).
-    errors: list[ErrorEvent] = field(default_factory=list)
-    path: list[str] = field(default_factory=list)
+    ``shed``: refused by the OBI's admission gate before reaching the
+    graph. ``errors``: contained element faults (diagnostics; the
+    externally observable consequence — drop/bypass/punt — is reflected
+    in the other fields).
+    """
+
+    __slots__ = _fields = (
+        "outputs", "dropped", "punted", "shed", "alerts", "logs", "errors", "path",
+    )
+
+    def __init__(
+        self, dropped: bool = False, punted: bool = False, shed: bool = False
+    ) -> None:
+        self.outputs: list[tuple[str, Packet]] = []
+        self.dropped = dropped
+        self.punted = punted
+        self.shed = shed
+        self.alerts: list[AlertEvent] = []
+        self.logs: list[LogEvent] = []
+        self.errors: list[ErrorEvent] = []
+        self.path: list[str] = []
 
     @property
     def forwarded(self) -> bool:
@@ -148,6 +197,10 @@ class Element:
     #: replays it (via :meth:`replay_decision`) for later packets of
     #: the flow, skipping the match computation.
     caches_decision: bool = False
+    #: Fixed by :meth:`attach`: ``caches_decision and cacheable``, and
+    #: that minus ``records_own_decision`` (single emissions recorded).
+    replayable: bool = False
+    auto_record: bool = False
     #: Set by MetadataClassifier elements to the metadata key they
     #: route on; the engine folds these into the flow key (the
     #: "metadata scope" of the deployed graph).
@@ -175,137 +228,116 @@ class Element:
         self._outputs: dict[int, "Element"] = {}
         self.context: EngineContext | None = None
 
-    # ------------------------------------------------------------------
-    # Wiring (set up by the Engine)
-    # ------------------------------------------------------------------
     def wire(self, port: int, successor: "Element") -> None:
         if port in self._outputs:
             raise ValueError(f"element {self.name} port {port} already wired")
         self._outputs[port] = successor
 
     def attach(self, context: EngineContext) -> None:
+        """Bind the engine's context. ``cacheable`` is final by now (the
+        translation layer resolves it first), so replay eligibility is
+        fixed here, not re-derived per hop."""
         self.context = context
+        self.replayable = self.caches_decision and self.cacheable
+        self.auto_record = self.replayable and not self.records_own_decision
 
-    # ------------------------------------------------------------------
-    # Processing
-    # ------------------------------------------------------------------
     def push(self, packet: Packet) -> None:
         """Run ``packet`` through this element and everything downstream.
 
         Traversal is an explicit depth-first stack (not recursion), so
         arbitrarily deep processing graphs execute safely; the visiting
-        order matches Click's immediate push semantics.
+        order matches Click's immediate push semantics. The context all
+        wired elements share is read once per push, not once per hop.
         """
+        context = self.context
+        outcome = decisions = recorder = guard = trace = path = breakers = None
+        degraded = False
+        if context is not None:
+            outcome, decisions = context.current, context.decisions
+            recorder, trace = context.recorder, context.trace
+            guard = context.robustness
+            if outcome is not None:
+                path = outcome.path
+            if guard is not None:
+                # Degraded mode changes at ingress only; breakers appear
+                # mid-traversal (contain() creates them), so the dict is
+                # held and its emptiness re-tested on every hop.
+                degraded, breakers = guard.degraded, guard.breakers
         stack: list[tuple["Element", Packet, int]] = [(self, packet, -1)]
         while stack:
             element, current, parent = stack.pop()
-            context = element.context
-            outcome = context.current if context is not None else None
-            trace = context.trace if context is not None else None
-            if context is not None and context.decisions is not None:
-                # Fast path: replay the cached decision instead of
-                # matching. Only decision-cached classifiers are
-                # skipped — every other element runs normally below, so
-                # data-dependent effects stay identical to a slow run.
-                # Handle-visible state (count/byte_count/path and the
-                # classifier's own tallies via replay_decision) is kept
-                # byte-identical to the slow path.
-                port = (
-                    context.decisions.get(element.name)
-                    if element.caches_decision and element.cacheable
-                    else None
-                )
-                if port is not None:
-                    element.count += 1
-                    element.byte_count += len(current)
-                    if outcome is not None:
-                        outcome.path.append(element.name)
-                    element.replay_decision(port, current)
-                    if trace is not None:
-                        span = trace.enter(
-                            element.name, element.origin_app, parent, context.now
-                        )
-                        span.replayed = True
-                        span.ports.append(port)
-                        span.exit = context.now
-                        trace.fastpath = True
-                        parent = span.index
-                    successor = element._outputs.get(port)
-                    if successor is not None:
-                        stack.append((successor, current, parent))
-                    continue
-            recorder = context.recorder if context is not None else None
-            guard = context.robustness if context is not None else None
-            if guard is not None:
-                # Quarantined element or overload-degraded bypass: the
-                # element is skipped and containment emissions used
-                # instead (it neither counts the packet nor appears on
-                # the path — it did not process anything).
+            # Fast path: a decision-cached classifier replays the port
+            # recorded for the flow instead of matching. Every other
+            # element runs normally, so data-dependent effects — and
+            # handle-visible state: count, byte_count, path, the
+            # classifier's tallies via replay_decision — match a slow run.
+            port = None
+            if decisions is not None and element.replayable:
+                port = decisions.get(element.name)
+            # Quarantine or overload-degraded bypass; with no breaker
+            # and no degradation intercept() has nothing to decide.
+            contained = span = None
+            if port is None and (degraded or breakers):
                 contained = guard.intercept(element, current, outcome)
-                if contained is not None:
-                    if recorder is not None:
-                        # A quarantine/degradation detour is transient
-                        # state, not a property of the flow: never
-                        # install a decision recorded around one.
-                        recorder.poison()
-                    if trace is not None:
-                        span = trace.enter(
-                            element.name, element.origin_app, parent, context.now
-                        )
-                        span.event = (
-                            "degraded-bypass"
-                            if guard.degraded and element.config.get("degradable")
-                            else "quarantine-bypass"
-                        )
-                        span.ports.extend(port for port, _ in contained)
-                        parent = span.index
-                    for port, out_packet in reversed(contained):
-                        successor = element._outputs.get(port)
-                        if successor is not None:
-                            stack.append((successor, out_packet, parent))
-                    continue
-            element.count += 1
-            element.byte_count += len(current)
-            if outcome is not None:
-                outcome.path.append(element.name)
-            span = (
-                trace.enter(element.name, element.origin_app, parent, context.now)
-                if trace is not None
-                else None
-            )
-            if guard is not None:
-                try:
-                    emissions = element.process(current)
-                except Exception as exc:  # noqa: BLE001 — containment boundary
-                    if recorder is not None:
-                        recorder.poison()
-                    emissions = guard.contain(element, current, exc, outcome)
-                    if span is not None:
-                        span.event = f"fault:{guard.policy.error_policy}"
-                else:
-                    guard.on_success(element)
+            if trace is not None:
+                span = trace.enter(
+                    element.name, element.origin_app, parent, context.now
+                )
+            if contained is not None:
+                # The element did not process anything: it neither
+                # counts the packet nor appears on the path. The detour
+                # is transient state, not a property of the flow, so no
+                # decision recorded around one is ever installed.
+                emissions = contained
+                if recorder is not None:
+                    recorder.poison()
+                if span is not None:
+                    span.event = (
+                        "degraded-bypass"
+                        if degraded and element.config.get("degradable")
+                        else "quarantine-bypass"
+                    )
             else:
-                emissions = element.process(current)
+                element.count += 1
+                element.byte_count += len(current.data)
+                if path is not None:
+                    path.append(element.name)
+                if port is not None:
+                    element.replay_decision(port, current)
+                    emissions = ((port, current),)
+                    if span is not None:
+                        span.replayed = trace.fastpath = True
+                elif guard is None:
+                    emissions = element.process(current)
+                else:
+                    try:
+                        emissions = element.process(current)
+                    except Exception as exc:  # noqa: BLE001 — containment boundary
+                        if recorder is not None:
+                            recorder.poison()
+                        emissions = guard.contain(element, current, exc, outcome)
+                        if span is not None:
+                            span.event = f"fault:{guard.policy.error_policy}"
+                    else:
+                        if breakers:  # only a breaker can need healing
+                            guard.on_success(element)
+                if span is not None:
+                    span.exit = context.now
+                if recorder is not None:
+                    if not element.cacheable:
+                        recorder.poison()
+                    elif element.auto_record and len(emissions) == 1:
+                        recorder.record(element.name, emissions[0][0])
             if span is not None:
-                span.exit = context.now
                 span.ports.extend(port for port, _ in emissions)
                 parent = span.index
-            if recorder is not None:
-                if not element.cacheable:
-                    recorder.poison()
-                elif (
-                    element.caches_decision
-                    and not element.records_own_decision
-                    and len(emissions) == 1
-                ):
-                    recorder.record(element.name, emissions[0][0])
             # Reversed so the first emission is processed first (DFS).
+            # An unwired port absorbs the packet — matching a processing
+            # graph with a dangling classifier outcome.
             for port, out_packet in reversed(emissions):
                 successor = element._outputs.get(port)
                 if successor is not None:
                     stack.append((successor, out_packet, parent))
-                # An unwired port absorbs the packet — matching a
-                # processing graph with a dangling classifier outcome.
 
     def process(self, packet: Packet) -> list[tuple[int, Packet]]:
         """Transform/route ``packet``; default is pass-through on port 0."""
@@ -332,6 +364,16 @@ class Element:
             self.byte_count = 0
             return
         raise KeyError(f"element {self.name} has no write handle {name!r}")
+
+
+#: Registry counter -> the Engine attribute it mirrors at export time.
+_MIRRORED = (
+    ("engine_packets_total", "packets_processed"),
+    ("engine_dropped_total", "dropped_total"),
+    ("engine_punted_total", "punted_total"),
+    ("engine_alerts_total", "alerts_total"),
+    ("engine_element_faults_total", "faults_total"),
+)
 
 
 class Engine:
@@ -368,36 +410,20 @@ class Engine:
         #: Raw path-length counts (index = path length, clamped); folded
         #: into the SIZE_BUCKETS histogram at export.
         self._path_counts = [0] * 193
+        # Export watermarks (attribute -> total mirrored so far): exports
+        # are additive, as the registry outlives this engine across deploys.
+        self._exported = {attr: 0 for _name, attr in _MIRRORED}
+        self._counters: list[tuple[Any, str]] = []
+        self._m_path = None
         if metrics is not None:
-            self._m_packets = metrics.counter("engine_packets_total")
-            self._m_dropped = metrics.counter("engine_dropped_total")
-            self._m_punted = metrics.counter("engine_punted_total")
-            self._m_alerts = metrics.counter("engine_alerts_total")
-            self._m_faults = metrics.counter("engine_element_faults_total")
+            self._counters = [(metrics.counter(n), a) for n, a in _MIRRORED]
             self._m_path = metrics.histogram("engine_path_length", SIZE_BUCKETS)
-        else:
-            self._m_packets = None
-            self._m_dropped = None
-            self._m_punted = None
-            self._m_alerts = None
-            self._m_faults = None
-            self._m_path = None
-        # Export watermarks: what has already been mirrored, so exports
-        # are additive (the registry outlives this engine across graph
-        # redeployments).
-        self._exported_packets = 0
-        self._exported_dropped = 0
-        self._exported_punted = 0
-        self._exported_alerts = 0
-        self._exported_faults = 0
         self._exported_path = [0] * 193
         #: Metadata keys this graph routes on: part of the flow key, so
         #: two packets of one 5-tuple that carry different upstream
         #: classification results never share a cache entry.
         self._metadata_scope = tuple(sorted({
-            element.metadata_key
-            for element in elements.values()
-            if element.metadata_key
+            e.metadata_key for e in elements.values() if e.metadata_key
         }))
         self.entry_name = graph.entry_point()
         # A partially committed graph (e.g. a translation that dropped
@@ -429,11 +455,7 @@ class Engine:
         tracer = self.tracer
         trace = None
         if tracer is not None and tracer.should_sample():
-            try:
-                summary = packet.summary()
-            except Exception:  # noqa: BLE001 — the packet may be hostile
-                summary = f"unparseable frame len={len(packet.data)}"
-            trace = tracer.begin(summary)
+            trace = tracer.begin(safe_summary(packet))
             context.trace = trace
         cache = self.flow_cache
         recorder = None
@@ -457,10 +479,8 @@ class Engine:
         try:
             self._entry.push(packet)
         finally:
-            context.current = None
-            context.decisions = None
-            context.recorder = None
-            context.trace = None
+            context.current = context.decisions = None
+            context.recorder = context.trace = None
         if recorder is not None:
             # Reached only when push() completed: a traversal that
             # unwound (robustness disabled) installs nothing. An
@@ -473,7 +493,7 @@ class Engine:
         if trace is not None:
             tracer.finish(trace, outcome)
         self.packets_processed += 1
-        self.bytes_processed += len(packet)
+        self.bytes_processed += len(packet.data)
         if outcome.dropped:
             self.dropped_total += 1
         if outcome.punted:
@@ -494,27 +514,16 @@ class Engine:
         redeployments (each deploy builds a fresh engine against the same
         OBI-owned registry). No-op without a registry.
         """
-        if self._m_packets is None:
+        if self._m_path is None:
             return
-        self._m_packets.inc(self.packets_processed - self._exported_packets)
-        self._exported_packets = self.packets_processed
-        self._m_dropped.inc(self.dropped_total - self._exported_dropped)
-        self._exported_dropped = self.dropped_total
-        self._m_punted.inc(self.punted_total - self._exported_punted)
-        self._exported_punted = self.punted_total
-        self._m_alerts.inc(self.alerts_total - self._exported_alerts)
-        self._exported_alerts = self.alerts_total
-        self._m_faults.inc(self.faults_total - self._exported_faults)
-        self._exported_faults = self.faults_total
-        hist = self._m_path
+        for counter, attr in self._counters:
+            total = getattr(self, attr)
+            counter.inc(total - self._exported[attr])
+            self._exported[attr] = total
         exported = self._exported_path
         for length, count in enumerate(self._path_counts):
-            delta = count - exported[length]
-            if delta:
-                slot = bisect.bisect_left(hist.boundaries, length)
-                hist.counts[slot] += delta
-                hist.count += delta
-                hist.sum += delta * length
+            if count != exported[length]:
+                self._m_path.observe(length, count - exported[length])
                 exported[length] = count
 
     def element(self, name: str) -> Element:

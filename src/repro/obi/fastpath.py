@@ -65,24 +65,25 @@ def flow_key(
     upstream transforms.
     """
     try:
-        ipv4 = packet.ipv4
+        if not packet._parsed:
+            packet._parse()
     except Exception:  # noqa: BLE001 — hostile frame: just skip the cache
         return None
+    # The parsed views, directly: each public property re-enters _parse().
+    ipv4 = packet._ipv4
     if ipv4 is None:
         return None
-    l4 = packet.l4
-    eth = packet.eth
-    tag = eth.vlan if eth is not None else None
+    l4 = packet._l4
+    tags = packet._eth.vlan_tags
+    # -1 distinguishes "no parseable L4" from real port 0: port rules
+    # require a parsed L4 header to match at all.
+    if l4 is None:
+        src_port = dst_port = -1
+    else:
+        src_port, dst_port = l4.src_port, l4.dst_port
     key = (
-        ipv4.src,
-        ipv4.dst,
-        ipv4.proto,
-        ipv4.dscp,
-        # -1 distinguishes "no parseable L4" from real port 0: port
-        # rules require a parsed L4 header to match at all.
-        l4.src_port if l4 is not None else -1,
-        l4.dst_port if l4 is not None else -1,
-        tag.vid if tag is not None else -1,
+        ipv4.src, ipv4.dst, ipv4.proto, ipv4.dscp, src_port, dst_port,
+        tags[0].vid if tags else -1,
     )
     if metadata_scope:
         key += tuple(repr(packet.metadata.get(name)) for name in metadata_scope)
@@ -216,11 +217,9 @@ class FlowDecisionCache:
         self._metrics = registry
 
     def export_metrics(self) -> None:
-        registry = self._metrics
-        if registry is None:
-            return
-        for name, value in self.stats().items():
-            registry.gauge(f"fastpath_{name}").set(value)
+        if self._metrics is not None:
+            for name, value in self.stats().items():
+                self._metrics.gauge(f"fastpath_{name}").set(value)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -241,11 +240,10 @@ class FlowDecisionCache:
     def _unindex(self, key: tuple, decision: FlowDecision) -> None:
         for ref, _version in decision.state_refs:
             keys = self._flow_index.get(ref)
-            if keys is None:
-                continue
-            keys.discard(key)
-            if not keys:
-                del self._flow_index[ref]
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._flow_index[ref]
 
     def install(self, key: tuple, decision: FlowDecision) -> None:
         previous = self._entries.get(key)
@@ -286,18 +284,11 @@ class FlowDecisionCache:
         dropped = 0
         for key in keys:
             decision = self._entries.pop(key, None)
-            if decision is None:
-                continue
-            dropped += 1
-            # The entry may have read other flows' state too; drop its
-            # back-references so the index never points at dead keys.
-            for other, _version in decision.state_refs:
-                if other != ref:
-                    others = self._flow_index.get(other)
-                    if others is not None:
-                        others.discard(key)
-                        if not others:
-                            del self._flow_index[other]
+            if decision is not None:
+                dropped += 1
+                # It may have read other flows' state too: drop those
+                # back-references, so the index never points at dead keys.
+                self._unindex(key, decision)
         self.flow_invalidations += dropped
         self.flush_log.append((f"flow:{reason}" if reason else "flow", dropped))
         return dropped

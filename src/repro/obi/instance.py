@@ -18,14 +18,14 @@ import collections
 import threading
 import time
 from dataclasses import dataclass, field as dataclasses_field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.graph import (
     GraphValidationError,
     ProcessingGraph,
     canonical_graph_digest,
 )
-from repro.net.packet import Packet
+from repro.net.packet import Packet, format_summary, safe_summary
 from repro.obi.custom import CustomModuleLoader
 from repro.obi.engine import AlertEvent, Engine, PacketOutcome
 from repro.obi.fastpath import DEFAULT_FLOW_CACHE_SIZE, FlowDecisionCache
@@ -536,139 +536,125 @@ class OpenBoxInstance:
         back ``dropped`` + ``shed``. Alerts raised by the graph and
         contained element faults are coalesced, rate limited, and
         forwarded upstream on the controller channel (paper §3.4).
+        This is :meth:`inject_batch` on a vector of one.
         """
-        self.packets_offered += 1
-        self._m_offered.inc()
-        # Flow-state exhaustion degrades the OBI through the same path
-        # as ingress overload (ORed inside EngineRobustness.degraded).
-        self.robustness.state_pressure = self.session.under_degradation
-        if self._admission is not None:
-            verdict = self._admission.admit(packet)
-            # The gate drives degraded mode: below the watermark the
-            # engine starts bypassing blocks marked ``degradable``.
-            self.robustness.degraded = self._admission.degraded
-            if not verdict.admitted:
-                self._m_shed.inc()
-                outcome = PacketOutcome(dropped=True, shed=True)
-                with self._lock:
-                    if self.history.maxlen:
-                        self.history.append({
-                            "packet": self._safe_summary(packet),
-                            "path": [],
-                            "dropped": True,
-                            "shed": verdict.reason or "exhausted",
-                            "outputs": [],
-                            "alerts": [],
-                            "at": self.clock(),
-                        })
-                return outcome
-        with self._lock:
-            if self.engine is None:
-                raise ProtocolError(
-                    ErrorCode.INVALID_GRAPH, "no processing graph deployed"
-                )
-            outcome = self.engine.process(packet)
-            self.packets_processed += 1
-            self.bytes_processed += len(packet)
-            if self.history.maxlen:
-                self.history.append({
-                    "packet": self._safe_summary(packet),
-                    "path": list(outcome.path),
-                    "dropped": outcome.dropped,
-                    "outputs": [device for device, _pkt in outcome.outputs],
-                    "alerts": [event.message for event in outcome.alerts],
-                    "at": self.clock(),
-                })
-        self._forward_alerts(outcome)
-        return outcome
+        return self.inject_batch((packet,))[0]
 
     def inject(self, packet: Packet) -> PacketOutcome:
         """Ingress entry point — admission gate, then the engine."""
         return self.process_packet(packet)
 
-    def inject_batch(self, packets: list[Packet]) -> list[PacketOutcome]:
+    def inject_batch(self, packets: Sequence[Packet]) -> list[PacketOutcome]:
         """Vectorized ingress: per-packet semantics, amortized bookkeeping.
 
         Each packet still passes the admission gate individually (token
         accounting and seeded shedding are order-dependent, so a batch
         sheds exactly the packets a packet-at-a-time loop would) and
         each outcome lands in the history, but the engine lock is taken
-        once for the whole vector and the alert batcher sees all the
-        outcomes' events in a single pass — cross-packet coalescing
-        that per-packet :meth:`inject` cannot do (each packet's own
-        ``PacketOutcome.alerts`` is unchanged either way).
+        once for the whole vector, the ingress counters are added once
+        (in a ``finally``: exact even when the engine raises mid-vector)
+        and the alert batcher sees all the outcomes' events in a single
+        pass — cross-packet coalescing that per-packet :meth:`inject`
+        cannot do (each packet's own ``PacketOutcome.alerts`` is
+        unchanged either way).
         """
         outcomes: list[PacketOutcome] = []
+        robustness, session = self.robustness, self.session
+        admission = self._admission
+        record = self._record_history if self.history.maxlen else None
+        offered = processed = processed_bytes = 0
         with self._lock:
-            for packet in packets:
-                self.packets_offered += 1
-                self._m_offered.inc()
-                self.robustness.state_pressure = (
-                    self.session.under_degradation
-                )
-                if self._admission is not None:
-                    verdict = self._admission.admit(packet)
-                    self.robustness.degraded = self._admission.degraded
-                    if not verdict.admitted:
-                        self._m_shed.inc()
-                        outcomes.append(PacketOutcome(dropped=True, shed=True))
-                        if self.history.maxlen:
-                            self.history.append({
-                                "packet": self._safe_summary(packet),
-                                "path": [],
-                                "dropped": True,
-                                "shed": verdict.reason or "exhausted",
-                                "outputs": [],
-                                "alerts": [],
-                                "at": self.clock(),
-                            })
-                        continue
-                if self.engine is None:
-                    raise ProtocolError(
-                        ErrorCode.INVALID_GRAPH, "no processing graph deployed"
-                    )
-                outcome = self.engine.process(packet)
-                self.packets_processed += 1
-                self.bytes_processed += len(packet)
-                if self.history.maxlen:
-                    self.history.append({
-                        "packet": self._safe_summary(packet),
-                        "path": list(outcome.path),
-                        "dropped": outcome.dropped,
-                        "outputs": [device for device, _pkt in outcome.outputs],
-                        "alerts": [event.message for event in outcome.alerts],
-                        "at": self.clock(),
-                    })
-                outcomes.append(outcome)
+            process = self.engine.process if self.engine is not None else None
+            try:
+                for packet in packets:
+                    offered += 1
+                    # Flow-state exhaustion degrades the OBI through the
+                    # same path as ingress overload (ORed inside
+                    # EngineRobustness.degraded).
+                    robustness.state_pressure = session.under_degradation
+                    if admission is not None:
+                        verdict = admission.admit(packet)
+                        # The gate drives degraded mode: below the
+                        # watermark the engine starts bypassing blocks
+                        # marked ``degradable``.
+                        robustness.degraded = admission.degraded
+                        if not verdict.admitted:
+                            self._m_shed.inc()
+                            outcome = PacketOutcome(dropped=True, shed=True)
+                            if record is not None:
+                                record(packet, outcome, verdict.reason or "exhausted")
+                            outcomes.append(outcome)
+                            continue
+                    if process is None:
+                        raise ProtocolError(
+                            ErrorCode.INVALID_GRAPH, "no processing graph deployed"
+                        )
+                    outcome = process(packet)
+                    processed += 1
+                    processed_bytes += len(packet.data)
+                    if record is not None:
+                        record(packet, outcome)
+                    outcomes.append(outcome)
+            finally:
+                self.packets_offered += offered
+                self._m_offered.inc(offered)
+                self.packets_processed += processed
+                self.bytes_processed += processed_bytes
+        # Upstream-bound events: alerts, plus contained faults as alerts.
         events: list[AlertEvent] = []
         for outcome in outcomes:
-            events.extend(self._alert_events(outcome))
+            if outcome.alerts:
+                events += outcome.alerts
+            for error in outcome.errors:
+                events.append(AlertEvent(
+                    block=error.block,
+                    origin_app=error.origin_app,
+                    message=f"element fault ({error.policy}): {error.error}",
+                    severity="error",
+                    packet_summary=error.packet_summary,
+                ))
         self._forward_alert_events(events)
         return outcomes
 
-    @staticmethod
-    def _safe_summary(packet: Packet) -> str:
+    def _record_history(
+        self, packet: Packet, outcome: PacketOutcome, shed: str = ""
+    ) -> None:
+        """Append one packet-history record (paper §6), cheaply: the
+        summary stays a tuple of ints until :meth:`packet_history`
+        renders it."""
         try:
-            return packet.summary()
+            summary: Any = packet.summary_fields()
         except Exception:  # noqa: BLE001 — the frame itself may be hostile
-            return f"unparseable frame len={len(packet.data)}"
+            summary = safe_summary(packet)
+        self.history.append((
+            summary,
+            tuple(outcome.path),
+            outcome.dropped,
+            [device for device, _pkt in outcome.outputs],
+            [event.message for event in outcome.alerts],
+            shed,
+            self.clock(),
+        ))
 
-    def _forward_alerts(self, outcome: PacketOutcome) -> None:
-        self._forward_alert_events(self._alert_events(outcome))
-
-    @staticmethod
-    def _alert_events(outcome: PacketOutcome) -> list[AlertEvent]:
-        """One outcome's upstream-bound events: alerts + contained faults."""
-        events = list(outcome.alerts)
-        for error in outcome.errors:
-            events.append(AlertEvent(
-                block=error.block,
-                origin_app=error.origin_app,
-                message=f"element fault ({error.policy}): {error.error}",
-                severity="error",
-                packet_summary=error.packet_summary,
-            ))
-        return events
+    def packet_history(self, limit: int = 0) -> list[dict[str, Any]]:
+        """The most recent ``limit`` (0 = all retained) history records,
+        rendered as the dicts ``PacketHistoryResponse`` carries."""
+        with self._lock:
+            records = list(self.history)
+        if limit > 0:
+            records = records[-limit:]
+        rendered = []
+        for summary, path, dropped, outputs, alerts, shed, at in records:
+            entry: dict[str, Any] = {
+                "packet": format_summary(summary),
+                "path": list(path),
+                "dropped": dropped,
+            }
+            if shed:
+                entry["shed"] = shed
+            entry.update(outputs=outputs, alerts=alerts, at=at)
+            rendered.append(entry)
+        return rendered
 
     def _forward_alert_events(self, events: list[AlertEvent]) -> None:
         """Upstream alert path: coalesce, rate limit, plus quarantine alerts.
@@ -872,11 +858,9 @@ class OpenBoxInstance:
         if isinstance(message, ObservabilitySnapshotRequest):
             return self._observability(message)
         if isinstance(message, PacketHistoryRequest):
-            with self._lock:
-                records = list(self.history)
-            if message.limit > 0:
-                records = records[-message.limit:]
-            return PacketHistoryResponse(xid=message.xid, records=records)
+            return PacketHistoryResponse(
+                xid=message.xid, records=self.packet_history(message.limit)
+            )
         if isinstance(message, ExportStateRequest):
             return ExportStateResponse(
                 xid=message.xid,

@@ -37,8 +37,9 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.net.packet import Packet, safe_summary
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.packet import Packet
     from repro.obi.engine import AlertEvent, Element, PacketOutcome
 
 #: Containment policies for a failing (or quarantined) element.
@@ -250,10 +251,7 @@ class EngineRobustness:
 
         now = self.clock()
         self.errors_total += 1
-        try:
-            summary = packet.summary()
-        except Exception:  # noqa: BLE001 — the packet itself is hostile
-            summary = f"unparseable frame len={len(packet.data)}"
+        summary = safe_summary(packet)
         event = ErrorEvent(
             block=element.name,
             origin_app=element.origin_app,
@@ -414,10 +412,7 @@ class AdmissionGate:
         return AdmissionVerdict(admitted=True, degraded=self.degraded)
 
     def _log_shed(self, packet: "Packet") -> None:
-        try:
-            self.shed_log.append(packet.summary())
-        except Exception:  # noqa: BLE001 — hostile frame
-            self.shed_log.append(f"unparseable frame len={len(packet.data)}")
+        self.shed_log.append(safe_summary(packet))
 
 
 @dataclass

@@ -94,10 +94,11 @@ class Histogram:
         self.count = 0
         self.sum = 0.0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.boundaries, value)] += 1
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        self.counts[bisect.bisect_left(self.boundaries, value)] += count
+        self.count += count
+        self.sum += value * count
 
     def quantile(self, q: float) -> float:
         """Upper-boundary estimate of the ``q`` quantile (0 if empty)."""

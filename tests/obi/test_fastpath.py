@@ -254,8 +254,40 @@ class TestInjectBatch:
         stable = lambda record: {  # noqa: E731
             k: v for k, v in record.items() if k not in ("packet", "at")
         }
-        assert ([stable(r) for r in batched.history]
-                == [stable(r) for r in single.history])
+        assert ([stable(r) for r in batched.packet_history()]
+                == [stable(r) for r in single.packet_history()])
+
+    def test_counts_exact_when_engine_raises_mid_batch(self):
+        """The ingress counters are added once per batch in a ``finally``:
+        a vector whose k-th packet unwinds ``engine.process`` must leave
+        exactly k offered and k-1 processed — nothing lost, nothing
+        invented (telemetry accounting and HealthReport read these)."""
+        obi = OpenBoxInstance(ObiConfig(obi_id="o"))
+        deploy(obi)
+        obi.engine.context.robustness = None  # fail fast: no containment
+
+        def exploding(packet):
+            if packet.l4.dst_port == 6666:
+                raise RuntimeError("element exploded")
+            return [(0, packet)]
+
+        obi.engine.elements["fw_hc"].process = exploding
+        k = 4
+        frames = [fw_packet(sport=port).data for port in (1, 2, 3)]
+        frames += [fw_packet(dport=6666).data]
+        frames += [fw_packet(sport=port).data for port in (5, 6)]
+        with pytest.raises(RuntimeError):
+            obi.inject_batch([Packet(data=frame) for frame in frames])
+        assert obi.packets_offered == k
+        assert obi.packets_processed == k - 1 == obi.engine.packets_processed
+        assert obi.bytes_processed == sum(len(f) for f in frames[:k - 1])
+        assert obi.metrics.counter("obi_packets_offered_total").value == k
+        assert len(obi.packet_history()) == k - 1
+        # The next vector counts on from there.
+        obi.inject_batch([Packet(data=frame) for frame in frames[:2]])
+        assert obi.packets_offered == k + 2
+        assert obi.packets_processed == k + 1
+        assert obi.metrics.counter("obi_packets_offered_total").value == k + 2
 
     def test_batch_sheds_exactly_like_per_packet(self):
         overload = OverloadPolicy(admission_rate=1.0, admission_burst=3.0)

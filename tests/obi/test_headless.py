@@ -14,6 +14,7 @@ from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.headless import HeadlessBuffer
 from repro.obi.instance import ObiConfig, OpenBoxInstance
+from repro.observability.metrics import default_registry
 from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK
 from repro.protocol.errors import ErrorCode
 from repro.protocol.messages import (
@@ -35,6 +36,11 @@ def alert_packet():
 
 def pass_packet():
     return make_tcp_packet("44.0.0.1", "192.168.0.9", 9999, 12345)
+
+
+def alerts_total():
+    """The monotonic count: ``controller.alerts`` is a bounded ring."""
+    return default_registry().counter("controller_alerts_received_total").value
 
 
 def connected(clock, **config_kwargs):
@@ -119,10 +125,10 @@ class TestBufferingAndReplay:
     def test_alerts_buffered_while_headless(self):
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0)
-        before = len(controller.alerts)
+        before = alerts_total()
         clock.advance(31.0)
         obi.process_packet(alert_packet())
-        assert len(controller.alerts) == before
+        assert alerts_total() == before
         assert len(obi.headless_buffer) == 1
 
     def test_health_reports_buffered_while_headless(self):
@@ -136,7 +142,7 @@ class TestBufferingAndReplay:
     def test_replay_on_reconnect_in_order(self):
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0)
-        before_alerts = len(controller.alerts)
+        before_alerts = alerts_total()
         clock.advance(31.0)
         obi.process_packet(alert_packet())
         clock.advance(5.0)
@@ -147,7 +153,7 @@ class TestBufferingAndReplay:
 
         assert not obi.is_headless()
         assert len(obi.headless_buffer) == 0
-        assert len(controller.alerts) == before_alerts + 1
+        assert alerts_total() == before_alerts + 1
         assert controller.stats.view("o1").last_health is not None
         # Replayed alerts count toward the sent counter.
         assert obi.alerts_sent == sent_before + 1
@@ -156,7 +162,7 @@ class TestBufferingAndReplay:
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0,
                                     headless_buffer=2)
-        before = len(controller.alerts)
+        before = alerts_total()
         clock.advance(31.0)
         assert obi.is_headless()
         for _ in range(5):
@@ -169,8 +175,8 @@ class TestBufferingAndReplay:
 
         # Two surviving alerts delivered, plus one summary alert telling
         # the controller exactly what was lost.
-        delivered = controller.alerts[before:]
-        assert len(delivered) == 3
+        assert alerts_total() == before + 3
+        delivered = list(controller.alerts)[-3:]
         summaries = [a for a in delivered if "dropped while headless"
                      in a.message]
         assert len(summaries) == 1
@@ -180,7 +186,7 @@ class TestBufferingAndReplay:
     def test_failed_replay_requeues_and_stays_headless(self):
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0)
-        before = len(controller.alerts)
+        before = alerts_total()
         clock.advance(31.0)
         for _ in range(3):
             clock.advance(1.0)
@@ -205,7 +211,7 @@ class TestBufferingAndReplay:
         obi._channel = live
         obi.note_controller_heard()
         assert not obi.is_headless()
-        assert len(controller.alerts) == before + 3
+        assert alerts_total() == before + 3
 
     def test_headless_read_handles(self):
         clock = FakeClock()

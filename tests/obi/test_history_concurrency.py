@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.net.builder import make_tcp_packet
+from repro.net.packet import Packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.messages import (
     PacketHistoryRequest,
@@ -64,6 +65,92 @@ class TestPacketHistory:
         response = obi.handle_message(PacketHistoryRequest())
         again = decode_message(encode_message(response))
         assert again.records == response.records
+
+
+class HostilePacket(Packet):
+    """A frame whose parse blows up with something other than ValueError."""
+
+    def _parse(self) -> None:
+        raise RuntimeError("hostile frame")
+
+
+def reference_record(packet, outcome, at):
+    """The history dict exactly as it was built before records became
+    capture-now / render-on-read tuples."""
+    try:
+        summary = packet.summary()
+    except Exception:  # noqa: BLE001
+        summary = f"unparseable frame len={len(packet.data)}"
+    if outcome.shed:
+        return {
+            "packet": summary, "path": [], "dropped": True,
+            "shed": "exhausted", "outputs": [], "alerts": [], "at": at,
+        }
+    return {
+        "packet": summary,
+        "path": list(outcome.path),
+        "dropped": outcome.dropped,
+        "outputs": [device for device, _pkt in outcome.outputs],
+        "alerts": [event.message for event in outcome.alerts],
+        "at": at,
+    }
+
+
+class TestHistoryRendering:
+    def test_records_byte_identical_to_reference(self):
+        """A seeded trace — forwarded, dropped, alerting, shed and one
+        unparseable frame, through ``inject`` and ``inject_batch`` —
+        renders to the bytes the eager dict builder produced."""
+        import random
+
+        from repro.obi.robustness import OverloadPolicy
+        from repro.protocol.codec import encode_message
+        from tests.obi.test_instance_robustness import FakeClock
+
+        rng = random.Random(20160822)
+        clock = FakeClock()
+        obi = OpenBoxInstance(
+            ObiConfig(
+                obi_id="o", history_size=64,
+                overload=OverloadPolicy(admission_rate=2.0, admission_burst=4.0),
+            ),
+            clock=clock,
+        )
+        obi.handle_message(
+            SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
+        )
+
+        def packet():
+            if rng.random() < 0.1:
+                return HostilePacket(data=bytes(rng.randrange(256) for _ in range(9)))
+            return make_tcp_packet(
+                rng.choice(["10.0.0.1", "44.0.0.1"]), "2.2.2.2",
+                rng.randrange(1024, 1030), rng.choice([22, 23, 443]),
+            )
+
+        expected = []
+        for _round in range(12):
+            vector = [packet() for _ in range(rng.randrange(1, 6))]
+            if rng.random() < 0.5:
+                outcomes = obi.inject_batch(vector)
+            else:
+                outcomes = [obi.inject(one) for one in vector]
+            expected += [
+                reference_record(one, outcome, clock.t)
+                for one, outcome in zip(vector, outcomes)
+            ]
+            clock.advance(rng.choice([0.0, 0.5, 3.0]))
+        assert any("shed" in record for record in expected)
+        assert any(r["packet"].startswith("unparseable") for r in expected)
+        assert any(r["alerts"] for r in expected)
+
+        response = obi.handle_message(PacketHistoryRequest(xid=7))
+        assert response.records == expected
+        assert encode_message(response) == encode_message(
+            PacketHistoryResponse(xid=7, records=expected)
+        )
+        limited = obi.handle_message(PacketHistoryRequest(xid=8, limit=5))
+        assert limited.records == expected[-5:]
 
 
 class TestConcurrency:

@@ -99,7 +99,7 @@ class TestAllCandidatesDeposed:
         assert obi.headless_buffer.dropped_total == 0
         # The deposed responders never got the buffered alerts either.
         for _, controller in deposed:
-            assert controller.alerts == []
+            assert not controller.alerts
 
     def test_mixed_list_adopts_only_the_current_leader(self, orphaned_obi):
         obi, clock = orphaned_obi
