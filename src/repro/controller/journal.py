@@ -424,29 +424,9 @@ class StateJournal:
     # Reading
     # ------------------------------------------------------------------
     @staticmethod
-    def read_records(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
-        """Yield valid records up to the first corrupt/truncated line."""
-        try:
-            # A torn tail may hold arbitrary bytes; decode errors become
-            # replacement characters, which fail JSON parsing and stop
-            # the scan like any other corruption (instead of raising).
-            handle = open(
-                os.fspath(path), "r", encoding="utf-8", errors="replace"
-            )
-        except FileNotFoundError:
-            return
-        with handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                except ValueError:
-                    return
-                if not isinstance(record, dict) or "rec" not in record:
-                    return
-                yield record
+    def read_records(path: str | os.PathLike[str]) -> "RecordScan":
+        """The valid records of ``path`` up to the first corrupt line."""
+        return RecordScan(path)
 
     @classmethod
     def replay(cls, path: str | os.PathLike[str]) -> ReplayResult:
@@ -458,12 +438,39 @@ class StateJournal:
         """
         state = JournalState()
         result = ReplayResult(state=state)
+        scan = cls.read_records(path)
+        for record in scan:
+            state.apply(record)
+            result.records += 1
+        result.truncated, result.bad_line = scan.truncated, scan.bad_line
+        return result
+
+
+class RecordScan:
+    """The one JSON-lines scanner every journal reader folds over.
+
+    Iterating yields each record (a dict carrying ``rec``) of the
+    longest valid prefix; blank lines are skipped and a missing file is
+    empty. The scan stops at the first line that is not such a record —
+    a torn tail, foreign bytes, valid JSON of the wrong shape — and
+    then says so: ``truncated`` is set and ``bad_line`` holds a
+    120-character excerpt of the offender.
+    """
+
+    def __init__(self, path: str | os.PathLike[str]) -> None:
+        self.path = os.fspath(path)
+        self.truncated = False
+        self.bad_line = ""
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        self.truncated, self.bad_line = False, ""
         try:
-            handle = open(
-                os.fspath(path), "r", encoding="utf-8", errors="replace"
-            )
+            # A torn tail may hold arbitrary bytes; decode errors become
+            # replacement characters, which fail JSON parsing and stop
+            # the scan like any other corruption (instead of raising).
+            handle = open(self.path, "r", encoding="utf-8", errors="replace")
         except FileNotFoundError:
-            return result
+            return
         with handle:
             for line in handle:
                 stripped = line.strip()
@@ -471,12 +478,10 @@ class StateJournal:
                     continue
                 try:
                     record = json.loads(stripped)
-                    if not isinstance(record, dict) or "rec" not in record:
-                        raise ValueError("not a journal record")
                 except ValueError:
-                    result.truncated = True
-                    result.bad_line = stripped[:120]
-                    break
-                state.apply(record)
-                result.records += 1
-        return result
+                    record = None
+                if not isinstance(record, dict) or "rec" not in record:
+                    self.truncated = True
+                    self.bad_line = stripped[:120]
+                    return
+                yield record

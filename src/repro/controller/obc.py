@@ -6,16 +6,15 @@ Responsibilities (paper §3.3):
 * determine which application graphs apply to each OBI, merge them with
   the graph-merge algorithm, and deploy the merged graph;
 * demultiplex upstream events (alerts by origin application, keepalives
-  to the stats tracker, responses by transaction id);
-* serve the northbound API: application registration, read/write
-  requests with callbacks, stats requests, redeployment on logic change.
+  and pushed telemetry to the stats tracker and the telemetry bus);
+* serve the northbound API: application registration, typed synchronous
+  read/write/stats requests, redeployment on logic change.
 """
 
 from __future__ import annotations
 
 import collections
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,7 +29,6 @@ from repro.controller.results import (
 )
 from repro.controller.segments import SegmentHierarchy
 from repro.controller.stats import ObiStatsTracker
-from repro.controller.xid import RequestMultiplexer
 from repro.core.graph import canonical_graph_digest
 from repro.core.merge import MergePolicy
 from repro.durable import Storage
@@ -108,11 +106,9 @@ class OpenBoxController:
         self.clock = clock or time.monotonic
         self.segments = SegmentHierarchy()
         self.aggregator = GraphAggregator(self.segments, merge_policy)
-        self.mux = RequestMultiplexer()
-        # Forgetting an OBI sweeps its pending xid requests; liveness
-        # math rides the same injectable monotonic clock as everything
-        # else, never the wall clock.
-        self.stats = ObiStatsTracker(mux=self.mux, clock=self.clock)
+        # Liveness math rides the same injectable monotonic clock as
+        # everything else, never the wall clock.
+        self.stats = ObiStatsTracker(clock=self.clock)
         self.applications: dict[str, OpenBoxApplication] = {}
         self.obis: dict[str, ObiHandle] = {}
         self.auto_deploy = auto_deploy
@@ -121,7 +117,11 @@ class OpenBoxController:
         self.alerts: collections.deque[Alert] = collections.deque(
             maxlen=ALERT_LOG_SIZE
         )
-        self.logs: list[LogMessage] = []
+        #: The most recent Log-block messages, same ring shape as
+        #: ``alerts``; ``controller_logs_received_total`` counts.
+        self.logs: collections.deque[LogMessage] = collections.deque(
+            maxlen=ALERT_LOG_SIZE
+        )
         #: Split-brain fencing epoch: bumped (durably, before any message
         #: is sent) every time a controller recovers from a journal, so
         #: OBIs can reject a stale predecessor's pushes.
@@ -159,14 +159,15 @@ class OpenBoxController:
         #: instance like a dead one.
         self.consecutive_deploy_failures: dict[str, int] = {}
         # Control-plane loop metrics on the process-wide registry (the
-        # controller has no per-OBI registry; per-OBI series arrive via
-        # ObservabilitySnapshot pulls instead).
+        # controller has no per-OBI registry; per-OBI series arrive on
+        # the telemetry stream and fold into ``self.telemetry``).
         registry = default_registry()
         self._m_deploys = registry.counter("controller_deployments_total")
         self._m_deploy_failures = registry.counter(
             "controller_deploy_failures_total"
         )
         self._m_alerts = registry.counter("controller_alerts_received_total")
+        self._m_logs = registry.counter("controller_logs_received_total")
         self._m_stats_polls = registry.counter("controller_stats_polls_total")
         self._m_obsv_polls = registry.counter(
             "controller_observability_polls_total"
@@ -484,12 +485,10 @@ class OpenBoxController:
             return None
         if isinstance(message, LogMessage):
             self.logs.append(message)
+            self._m_logs.inc()
             return None
         if isinstance(message, TelemetryStream):
             return self._handle_telemetry_stream(message)
-        # Anything else is a response to an app-initiated request.
-        if self.mux.dispatch(message):
-            return None
         raise ProtocolError(
             ErrorCode.UNKNOWN_MESSAGE,
             f"controller cannot handle unsolicited {message.TYPE}",
@@ -725,45 +724,8 @@ class OpenBoxController:
             raise errors[0]
 
     # ------------------------------------------------------------------
-    # Northbound: application-initiated requests (multiplexed, §4.1)
+    # Northbound: application-initiated requests (paper §4.1)
     # ------------------------------------------------------------------
-    def _send_request(
-        self,
-        app: OpenBoxApplication,
-        obi_id: str,
-        message: Message,
-        callback: Callable[[Message], None] | None,
-        error_callback: Callable[[ErrorMessage], None] | None = None,
-    ) -> None:
-        handle = self._handle_of(obi_id)
-        if handle.channel is None:
-            raise ProtocolError(ErrorCode.NOT_CONNECTED, f"OBI {obi_id!r} has no channel")
-        if callback is not None:
-            self.mux.register(
-                message.xid, app.name, callback, self.clock(),
-                error_callback=error_callback,
-                obi_id=obi_id,
-            )
-        try:
-            response = handle.channel.request(message)
-        except ChannelClosed as exc:
-            # Fail the pending entry immediately (fires the app's error
-            # callback) instead of leaking it until expiry.
-            if callback is not None:
-                self.mux.dispatch(ErrorMessage(
-                    xid=message.xid,
-                    code=ErrorCode.NOT_CONNECTED,
-                    detail=f"OBI {obi_id!r} unreachable: {exc}",
-                ))
-            raise ProtocolError(
-                ErrorCode.NOT_CONNECTED, f"OBI {obi_id!r} unreachable: {exc}"
-            ) from exc
-        # The transports are synchronous RPC, so the response arrives
-        # immediately; route it through the demultiplexer exactly as an
-        # asynchronously delivered response would be.
-        if callback is not None:
-            self.mux.dispatch(response)
-
     def resolve_blocks(self, app_name: str, obi_id: str, block: str) -> list[str]:
         """Deployed block names realizing application block ``block``.
 
@@ -995,11 +957,8 @@ class OpenBoxController:
         folded = self.telemetry.apply_stream(stream, segment=segment)
         self._m_streams.inc()
         self._m_stream_records.inc(folded)
-        snapshot = self.telemetry.snapshot_response(stream.obi_id)
-        if snapshot is not None:
-            # Feed the existing per-OBI stats views incrementally —
-            # push replaces the poll sweep without changing consumers.
-            self.stats.record_observability(snapshot, self.clock())
+        # An OBI pushing telemetry is plainly alive.
+        self.stats.record_heard(stream.obi_id, self.clock())
         subscription = self._telemetry_subscriptions.get(stream.obi_id, {})
         return TelemetryAck(
             xid=stream.xid,
@@ -1130,8 +1089,8 @@ class OpenBoxController:
         """One-shot: drain the OBI's telemetry ring, return folded state.
 
         Subscribe-with-drain, ack, and read back the folded per-OBI
-        state shaped exactly like the old pull response — the modern
-        replacement for :meth:`poll_observability`.
+        state in the snapshot shape of PROTOCOL.md §9 — the same value
+        :meth:`OpenBoxInstance.observability_snapshot` builds locally.
         """
         handle = self._handle_of(obi_id)
         if handle.channel is None:
@@ -1144,47 +1103,6 @@ class OpenBoxController:
         return self.telemetry.snapshot_response(
             obi_id, include_traces=include_traces, max_traces=max_traces
         )
-
-    # ------------------------------------------------------------------
-    # Observability (PROTOCOL.md §9 — deprecated polling wrappers)
-    # ------------------------------------------------------------------
-    def poll_observability(
-        self, obi_id: str, include_traces: bool = True, max_traces: int = 0
-    ) -> ObservabilitySnapshotResponse | None:
-        """Deprecated: one-shot drain over the subscribe API (§13)."""
-        warnings.warn(
-            "poll_observability is deprecated; use telemetry_snapshot() or "
-            "the watch()/subscribe() streaming API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.telemetry_snapshot(
-            obi_id, include_traces=include_traces, max_traces=max_traces
-        )
-
-    def poll_observability_all(
-        self, include_traces: bool = True, max_traces: int = 0
-    ) -> dict[str, ObservabilitySnapshotResponse]:
-        """Deprecated: drain every reachable OBI via the subscribe API."""
-        warnings.warn(
-            "poll_observability_all is deprecated; use telemetry_snapshot() "
-            "per OBI or the watch()/subscribe() streaming API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        snapshots: dict[str, ObservabilitySnapshotResponse] = {}
-        for obi_id, handle in list(self.obis.items()):
-            if handle.channel is None:
-                continue
-            try:
-                response = self.telemetry_snapshot(
-                    obi_id, include_traces=include_traces, max_traces=max_traces
-                )
-            except ChannelClosed:
-                continue
-            if response is not None:
-                snapshots[obi_id] = response
-        return snapshots
 
     def attribute_trace(
         self, obi_id: str, trace: dict[str, Any]

@@ -10,7 +10,7 @@ closes that loop as one periodic tick:
    response), or whose deployments keep failing, is declared dead: its
    last exported session state is imported into a live survivor (or a
    freshly provisioned replacement), the group and steering tables are
-   shrunk around it, and its pending xid requests are cancelled;
+   shrunk around it;
 1. poll ``GlobalStats`` from every live OBI in each managed group —
    a successful poll is liveness evidence, a failed one is not;
 2. let the :class:`~repro.controller.scaling.ScalingManager` decide;
@@ -18,8 +18,7 @@ closes that loop as one periodic tick:
    new one (so reassigned flows keep their verdicts — the OpenNF hook),
    then widen the steering hop;
 4. on **scale-down**: fold the victim's session state into a surviving
-   replica *before* the provisioner tears it down, then narrow steering;
-5. sweep expired application requests from the xid multiplexer.
+   replica *before* the provisioner tears it down, then narrow steering.
 
 Drive it from any scheduler: ``scheduler.schedule_every(p, loop.tick)``.
 """
@@ -58,8 +57,6 @@ class TickReport:
     overloaded: list[str] = field(default_factory=list)
     #: (dead OBI, survivor that absorbed its role; "" if none found).
     failovers: list[tuple[str, str]] = field(default_factory=list)
-    #: xids of application requests that timed out this tick.
-    expired_xids: list[int] = field(default_factory=list)
     #: Cumulative controller-wide deploy-failure count at tick end.
     failed_deployments: int = 0
     #: Anti-entropy results this tick (PROTOCOL.md §10): OBIs whose
@@ -118,20 +115,8 @@ class OrchestrationLoop:
         #: Last successful state checkpoint per OBI, as
         #: ``{"generation": int, "entries": [...]}`` — the failover
         #: stage hands this to a survivor because a dead OBI can no
-        #: longer be asked for its state. Legacy plain-list snapshots
-        #: (pre-checkpoint format) are still understood.
-        self.snapshots: dict[str, Any] = {}
-
-    @staticmethod
-    def _snapshot_entries(state: Any) -> list:
-        """Flow entries of a snapshot, whatever its format."""
-        if isinstance(state, dict):
-            return state.get("entries", [])
-        return state or []
-
-    @staticmethod
-    def _snapshot_generation(state: Any) -> int:
-        return state.get("generation", 0) if isinstance(state, dict) else 0
+        #: longer be asked for its state.
+        self.snapshots: dict[str, dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Stage 1: stats polling (also refreshes liveness evidence)
@@ -195,20 +180,18 @@ class OrchestrationLoop:
             # of the same OBI already handed over newer state, the
             # survivor rejects this one as stale instead of regressing.
             state = self.snapshots.pop(obi_id, None)
-            entries = self._snapshot_entries(state)
+            entries = state["entries"] if state else []
             if self.migrator is not None and survivor is not None and entries:
                 try:
                     outcome = self.migrator.handoff(
-                        obi_id, survivor,
-                        self._snapshot_generation(state), entries,
+                        obi_id, survivor, state["generation"], entries
                     )
                     if outcome.accepted:
                         report.migrations.append((obi_id, survivor))
                 except (ChannelClosed, ProtocolError):
                     pass
             self.scaling.remove_member(group, obi_id)
-            # Disconnecting cancels the dead OBI's pending xid requests
-            # (via the stats tracker's mux hook) and notifies apps.
+            # Disconnecting drops the stats view and notifies apps.
             self.controller.disconnect_obi(obi_id)
             if survivor is not None:
                 # Re-run aggregation/deploy so the survivor carries the
@@ -323,15 +306,13 @@ class OrchestrationLoop:
                         (m for m in members if m in self.controller.obis), None
                     )
                     state = self.snapshots.get(action.obi_id)
-                    entries = self._snapshot_entries(state)
+                    entries = state["entries"] if state else []
                     if survivor is not None and entries:
                         self.migrator.import_state(survivor, entries)
                         report.migrations.append((action.obi_id, survivor))
             if self.steering is not None:
                 self.steering.update_replicas(action.group, members)
 
-        # 5. Sweep application requests that outlived their deadline.
-        report.expired_xids = self.controller.mux.expire(now)
         report.failed_deployments = self.controller.failed_deployments
 
         # 6. Ship this tick's journal delta to the hot standbys, so the

@@ -7,8 +7,7 @@ both transports are synchronous RPC (the response to an application
 request arrives before the call returns), that indirection bought
 nothing — so the API is now synchronous and typed: each call returns a
 result dataclass carrying the per-deployed-block values, any per-block
-errors, and the wall-clock latency of the round trip. The callback form
-survives as a thin deprecated shim on the controller.
+errors, and the wall-clock latency of the round trip.
 """
 
 from __future__ import annotations

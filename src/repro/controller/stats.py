@@ -8,26 +8,19 @@ underutilized instances and take some of them down" (paper §3.3).
 :class:`ObiStatsTracker` records keepalives and the latest GlobalStats
 per OBI; the scaling manager consumes its view, and the orchestrator's
 failover stage consumes :meth:`ObiStatsTracker.dead_obis` — liveness is
-evidenced by *any* message from the OBI (keepalive or a stats
-response), so a silent-but-polled instance is not declared dead while
-one that answers nothing for ``liveness_timeout`` is.
+evidenced by *any* message from the OBI (keepalive, stats response,
+health report or pushed telemetry stream), so a silent-but-polled
+instance is not declared dead while one that answers nothing for
+``liveness_timeout`` is.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Callable
 
-from repro.observability.metrics import merge_snapshots
-from repro.protocol.messages import (
-    GlobalStatsResponse,
-    HealthReport,
-    ObservabilitySnapshotResponse,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.controller.xid import RequestMultiplexer
+from repro.protocol.messages import GlobalStatsResponse, HealthReport
 
 
 @dataclass
@@ -37,7 +30,7 @@ class ObiLoadView:
     obi_id: str
     last_keepalive: float = 0.0
     #: Last time *any* evidence of liveness arrived (keepalive, stats,
-    #: or a health report).
+    #: a health report, or a pushed telemetry stream).
     last_heard: float = 0.0
     keepalives: int = 0
     last_stats: GlobalStatsResponse | None = None
@@ -48,9 +41,6 @@ class ObiLoadView:
     #: True while the OBI reports overload evidence: running degraded or
     #: actively shedding packets since the previous health report.
     overloaded: bool = False
-    #: Latest pulled observability snapshot (PROTOCOL.md §9): the OBI's
-    #: metrics registry plus its recent sampled packet traces.
-    last_observability: ObservabilitySnapshotResponse | None = None
 
     @property
     def cpu_load(self) -> float:
@@ -98,25 +88,18 @@ class ObiLoadView:
 
 
 class ObiStatsTracker:
-    """Tracks liveness and load for every connected OBI.
-
-    When constructed with the controller's :class:`RequestMultiplexer`,
-    forgetting an OBI also sweeps every request still pending against
-    it, so callbacks fail fast instead of leaking until expiry.
-    """
+    """Tracks liveness and load for every connected OBI."""
 
     def __init__(
         self,
         liveness_timeout: float = 30.0,
         history_limit: int = 1000,
-        mux: "RequestMultiplexer | None" = None,
         clock: "Callable[[], float] | None" = None,
     ) -> None:
         if history_limit < 1:
             raise ValueError("history_limit must be >= 1")
         self.liveness_timeout = liveness_timeout
         self.history_limit = history_limit
-        self.mux = mux
         # Injectable monotonic clock: liveness math must never read the
         # wall clock directly, so virtual-time tests stay deterministic.
         self.clock = clock or time.monotonic
@@ -133,23 +116,26 @@ class ObiStatsTracker:
 
     def forget(self, obi_id: str) -> None:
         self._views.pop(obi_id, None)
-        if self.mux is not None:
-            self.mux.cancel_for_obi(obi_id)
 
     def record_failure(self, obi_id: str, now: float) -> None:
         """Audit that ``obi_id`` was declared failed at ``now``."""
         self.failures.append((obi_id, now))
 
-    def record_keepalive(self, obi_id: str, now: float) -> None:
+    def record_heard(self, obi_id: str, now: float) -> ObiLoadView:
+        """Any message from ``obi_id`` is liveness evidence; a pushed
+        telemetry stream is recorded as just that."""
         view = self.register(obi_id, now)
-        view.last_keepalive = now
         view.last_heard = max(view.last_heard, now)
+        return view
+
+    def record_keepalive(self, obi_id: str, now: float) -> None:
+        view = self.record_heard(obi_id, now)
+        view.last_keepalive = now
         view.keepalives += 1
 
     def record_stats(self, stats: GlobalStatsResponse, now: float) -> None:
-        view = self.register(stats.obi_id, now)
+        view = self.record_heard(stats.obi_id, now)
         view.last_stats = stats
-        view.last_heard = max(view.last_heard, now)
         view.add_sample(now, stats.cpu_load, self.history_limit)
 
     def record_health(self, report: HealthReport, now: float) -> None:
@@ -160,53 +146,11 @@ class ObiStatsTracker:
         shed counter alone does not keep an OBI marked overloaded
         forever.
         """
-        view = self.register(report.obi_id, now)
+        view = self.record_heard(report.obi_id, now)
         previous = view.last_health
         shed_before = previous.packets_shed if previous is not None else 0
         view.overloaded = report.degraded or report.packets_shed > shed_before
         view.last_health = report
-        view.last_heard = max(view.last_heard, now)
-
-    def record_observability(
-        self, snapshot: ObservabilitySnapshotResponse, now: float
-    ) -> None:
-        """Retain an OBI's pulled observability snapshot (liveness too —
-        an instance answering a snapshot pull is plainly alive)."""
-        view = self.register(snapshot.obi_id, now)
-        view.last_observability = snapshot
-        view.last_heard = max(view.last_heard, now)
-
-    def aggregate_observability(self) -> dict[str, Any]:
-        """Fleet-wide view of the latest snapshot from every OBI.
-
-        Counters and gauges sum across instances, same-shape histograms
-        merge bucket-wise (:func:`repro.observability.metrics.merge_snapshots`),
-        and every retained trace is tagged with its source OBI.
-        """
-        snapshots = [
-            view.last_observability
-            for view in self._views.values()
-            if view.last_observability is not None
-        ]
-        traces: list[dict[str, Any]] = []
-        for snapshot in snapshots:
-            for trace in snapshot.traces:
-                tagged = dict(trace)
-                tagged["obi_id"] = snapshot.obi_id
-                traces.append(tagged)
-        return {
-            "obis": {
-                snapshot.obi_id: {
-                    "graph_version": snapshot.graph_version,
-                    "packets_seen": snapshot.packets_seen,
-                    "packets_sampled": snapshot.packets_sampled,
-                    "sample_rate": snapshot.sample_rate,
-                }
-                for snapshot in snapshots
-            },
-            "metrics": merge_snapshots([s.metrics for s in snapshots]),
-            "traces": traces,
-        }
 
     def view(self, obi_id: str) -> ObiLoadView | None:
         return self._views.get(obi_id)

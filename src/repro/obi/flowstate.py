@@ -32,7 +32,6 @@ Four layers:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -115,49 +114,38 @@ def load_checkpoint(path: str | os.PathLike[str]) -> CheckpointRestore:
     """
     result = CheckpointRestore()
     by_key: dict[tuple, dict[str, Any]] = {}
-    try:
-        handle = open(os.fspath(path), "r", encoding="utf-8", errors="replace")
-    except FileNotFoundError:
-        return result
-    with handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-                if not isinstance(record, dict) or "rec" not in record:
-                    raise ValueError("not a journal record")
-            except ValueError:
-                result.truncated = True
-                break
-            kind = record.get("rec")
-            try:
-                if kind == "snapshot":
-                    state = record.get("state", {})
-                    result.generation = max(
-                        result.generation, int(state.get("generation", 0))
-                    )
-                    by_key = {
-                        _entry_key(entry): entry
-                        for entry in state.get("entries", [])
-                    }
-                elif kind == "flow":
-                    entry = record["entry"]
-                    by_key[_entry_key(entry)] = entry
-                elif kind == "flow_gone":
-                    by_key.pop(_entry_key({"key": record["key"]}), None)
-                elif kind == "state_generation":
-                    result.generation = max(
-                        result.generation, int(record.get("generation", 0))
-                    )
-                # Unknown kinds are skipped, not fatal: a newer OBI's
-                # journal replays on an older one minus what it cannot
-                # understand.
-            except (KeyError, TypeError, ValueError):
-                result.truncated = True
-                break
-            result.records += 1
+    scan = StateJournal.read_records(path)
+    for record in scan:
+        kind = record.get("rec")
+        try:
+            if kind == "snapshot":
+                state = record.get("state", {})
+                result.generation = max(
+                    result.generation, int(state.get("generation", 0))
+                )
+                by_key = {
+                    _entry_key(entry): entry
+                    for entry in state.get("entries", [])
+                }
+            elif kind == "flow":
+                entry = record["entry"]
+                by_key[_entry_key(entry)] = entry
+            elif kind == "flow_gone":
+                by_key.pop(_entry_key({"key": record["key"]}), None)
+            elif kind == "state_generation":
+                result.generation = max(
+                    result.generation, int(record.get("generation", 0))
+                )
+            # Unknown kinds are skipped, not fatal: a newer OBI's
+            # journal replays on an older one minus what it cannot
+            # understand.
+        except (KeyError, TypeError, ValueError):
+            # A well-formed line whose payload this fold cannot use ends
+            # the valid prefix just like a torn one.
+            result.truncated = True
+            break
+        result.records += 1
+    result.truncated = result.truncated or scan.truncated
     result.entries = list(by_key.values())
     return result
 

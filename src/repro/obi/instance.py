@@ -15,6 +15,7 @@ Table 3 benchmark.
 from __future__ import annotations
 
 import collections
+import operator
 import threading
 import time
 from dataclasses import dataclass, field as dataclasses_field
@@ -74,7 +75,6 @@ from repro.protocol.messages import (
     ListCapabilitiesRequest,
     ListCapabilitiesResponse,
     Message,
-    ObservabilitySnapshotRequest,
     ObservabilitySnapshotResponse,
     ReadRequest,
     ReadResponse,
@@ -165,6 +165,75 @@ class ObiConfig:
     telemetry_buffer: int = 1024
 
 
+def _optional(part: str, attr: str, default: Any = 0) -> Callable[[Any], Any]:
+    """Getter for ``obi.<part>.<attr>``, answering ``default`` while the
+    optional component (cache, tracer, checkpointer) is not configured."""
+    component = operator.attrgetter(part)
+
+    def get(obi: Any) -> Any:
+        owner = component(obi)
+        return getattr(owner, attr) if owner is not None else default
+
+    return get
+
+
+_CACHE, _TRACER, _CHECKPOINT = "flow_cache", "tracer", "session.flow_table.checkpoint"
+
+#: The ``_obi`` pseudo-block (PROTOCOL.md §7): handle name -> getter over
+#: the instance. The one list of instance-level observables —
+#: :meth:`OpenBoxInstance.read_obi_handle` serves exactly these names,
+#: and the tests walk this table against the wire and the docs.
+OBI_HANDLES: dict[str, Callable[["OpenBoxInstance"], Any]] = {
+    "alerts_sent": lambda obi: obi.alerts_sent,
+    "alerts_suppressed": lambda obi: obi._alert_batcher.suppressed_total,
+    "errors_total": lambda obi: obi.robustness.errors_total,
+    "packets_shed": lambda obi: obi.packets_shed,
+    "quarantined_blocks": lambda obi: obi.robustness.quarantined_blocks(),
+    "poison_quarantine": lambda obi: obi.robustness.poison_digests(),
+    "degraded": lambda obi: obi.robustness.degraded,
+    # Flow-decision fast path (PROTOCOL.md §8).
+    "fastpath_hits": _optional(_CACHE, "hits"),
+    "fastpath_misses": _optional(_CACHE, "misses"),
+    "fastpath_uncacheable": _optional(_CACHE, "uncacheable_hits"),
+    "fastpath_invalidations": _optional(_CACHE, "invalidations"),
+    "fastpath_flow_invalidations": _optional(_CACHE, "flow_invalidations"),
+    "fastpath_entries": _optional(_CACHE, "entries"),
+    "fastpath_hit_rate": _optional(_CACHE, "hit_rate", 0.0),
+    # Trace sampling (PROTOCOL.md §9).
+    "trace_seen": _optional(_TRACER, "seen"),
+    "trace_sampled": _optional(_TRACER, "sampled"),
+    "trace_sample_rate": _optional(_TRACER, "sample_rate", 0.0),
+    # Crash recovery / headless mode (PROTOCOL.md §10).
+    "headless": lambda obi: obi.is_headless(),
+    "headless_entries": lambda obi: len(obi.headless_buffer),
+    "headless_dropped": lambda obi: obi.headless_buffer.dropped_total,
+    "headless_episodes": lambda obi: obi.headless_episodes,
+    "graph_digest": lambda obi: obi.graph_digest,
+    "controller_generation": lambda obi: obi.highest_controller_generation,
+    "stale_generation_rejections": lambda obi: obi.stale_generation_rejections,
+    # Resilient flow state (PROTOCOL.md §11).
+    "state_entries": lambda obi: obi.session.flow_count(),
+    "state_protected": lambda obi: obi.session.flow_table.protected_count,
+    "state_evictions": lambda obi: obi.session.flow_table.evictions,
+    "state_eviction_reasons": lambda obi: dict(
+        obi.session.flow_table.eviction_reasons
+    ),
+    "state_drops": lambda obi: obi.session.flow_table.drops,
+    "state_drop_reasons": lambda obi: dict(obi.session.flow_table.drop_reasons),
+    "state_pressure": lambda obi: obi.session.under_degradation,
+    "state_generation": lambda obi: obi.session.state_generation,
+    "state_checkpoint_degraded": _optional(_CHECKPOINT, "degraded", False),
+    "state_checkpoint_dropped": _optional(_CHECKPOINT, "dropped_records"),
+    "state_checkpoint_resumes": _optional(_CHECKPOINT, "resumes"),
+    "stale_handoff_rejections": lambda obi: obi.stale_handoff_rejections,
+    # Re-homing (PROTOCOL.md §12).
+    "rehomes": lambda obi: obi.rehomes,
+    "rehome_stale_skipped": lambda obi: obi.rehome_stale_skipped,
+    "announced_leader": lambda obi: obi.announced_leader,
+    "controller_endpoints": lambda obi: list(obi.config.controller_endpoints),
+}
+
+
 class OpenBoxInstance:
     """A software OBI: protocol endpoint + execution engine."""
 
@@ -206,8 +275,11 @@ class OpenBoxInstance:
         #: highest state generation already imported from each peer.
         self._handoff_fence: dict[str, int] = {}
         self.stale_handoff_rejections = 0
-        self.log_service = log_service or LogService()
-        self.storage_service = storage_service or PacketStorageService()
+        # ``is None``, not ``or``: an empty service is falsy (``__len__``).
+        self.log_service = LogService() if log_service is None else log_service
+        self.storage_service = (
+            PacketStorageService() if storage_service is None else storage_service
+        )
         self.engine: Engine | None = None
         self.graph: ProcessingGraph | None = None
         self._channel: Any = None
@@ -295,8 +367,9 @@ class OpenBoxInstance:
         #: whether admitted or shed.
         self.packets_offered = 0
         #: Per-instance metrics registry: owned here (like robustness and
-        #: the flow cache) so series survive graph redeployments; an
-        #: ``ObservabilitySnapshot`` serves exactly this registry.
+        #: the flow cache) so series survive graph redeployments; the
+        #: telemetry stream and ``observability_snapshot()`` serve
+        #: exactly this registry.
         self.metrics = MetricsRegistry()
         #: Sampled packet tracing; None when ``trace_sample_rate`` is 0.
         self.tracer = (
@@ -855,8 +928,6 @@ class OpenBoxInstance:
             return self._lease_announce(message)
         if isinstance(message, BarrierRequest):
             return BarrierResponse(xid=message.xid)
-        if isinstance(message, ObservabilitySnapshotRequest):
-            return self._observability(message)
         if isinstance(message, PacketHistoryRequest):
             return PacketHistoryResponse(
                 xid=message.xid, records=self.packet_history(message.limit)
@@ -1010,10 +1081,11 @@ class OpenBoxInstance:
     ) -> ObservabilitySnapshotResponse:
         """The instance's metrics + recent sampled traces (PROTOCOL.md §9).
 
+        Local only (no wire message asks for it): the oracle the
+        push-equals-pull tests compare ``telemetry_snapshot()`` against.
         Snapshot-time-only series (flow-cache counters, quarantine and
         degradation levels, sampling totals) are mirrored into gauges
-        here rather than maintained on the hot path — pull telemetry
-        should cost the data plane nothing between pulls.
+        at export time rather than maintained on the hot path.
         """
         with self._lock:
             snapshot = self._export_registry_locked()
@@ -1042,7 +1114,7 @@ class OpenBoxInstance:
         swap) would double-apply the same delta and inflate the shared
         registry. Every exporting path therefore runs under the engine
         lock, and the snapshot is taken in the *same* critical section —
-        so the absolute values any consumer (pull response or telemetry
+        so the absolute values any consumer (local snapshot or telemetry
         ring record) observes are mutually consistent and monotonic.
         """
         with self._lock:
@@ -1076,18 +1148,11 @@ class OpenBoxInstance:
                 gauges.gauge("trace_packets_sampled").set(tracer.sampled)
             return self.metrics.snapshot()
 
-    def _observability(self, message: ObservabilitySnapshotRequest) -> Message:
-        response = self.observability_snapshot(
-            include_traces=message.include_traces, max_traces=message.max_traces
-        )
-        response.xid = message.xid
-        return response
-
     # ------------------------------------------------------------------
     # Streaming telemetry (PROTOCOL.md §13)
     # ------------------------------------------------------------------
     def _telemetry_meta(self) -> dict[str, Any]:
-        """Context riding metric records (the pull response's envelope)."""
+        """Context riding metric records (the snapshot's envelope)."""
         tracer = self.tracer
         return {
             "graph_version": self.graph_version,
@@ -1206,97 +1271,11 @@ class OpenBoxInstance:
         )
 
     def read_obi_handle(self, handle: str) -> Any:
-        """Read handles of the ``_obi`` pseudo-block (PROTOCOL.md §7)."""
-        if handle == "alerts_sent":
-            return self.alerts_sent
-        if handle == "alerts_suppressed":
-            return self._alert_batcher.suppressed_total
-        if handle == "errors_total":
-            return self.robustness.errors_total
-        if handle == "packets_shed":
-            return self.packets_shed
-        if handle == "quarantined_blocks":
-            return self.robustness.quarantined_blocks()
-        if handle == "poison_quarantine":
-            return self.robustness.poison_digests()
-        if handle == "degraded":
-            return self.robustness.degraded
-        if handle == "fastpath_hits":
-            return self.flow_cache.hits if self.flow_cache is not None else 0
-        if handle == "fastpath_misses":
-            return self.flow_cache.misses if self.flow_cache is not None else 0
-        if handle == "fastpath_uncacheable":
-            return self.flow_cache.uncacheable_hits if self.flow_cache is not None else 0
-        if handle == "fastpath_invalidations":
-            return self.flow_cache.invalidations if self.flow_cache is not None else 0
-        if handle == "fastpath_entries":
-            return self.flow_cache.entries if self.flow_cache is not None else 0
-        if handle == "fastpath_hit_rate":
-            return self.flow_cache.hit_rate if self.flow_cache is not None else 0.0
-        if handle == "trace_seen":
-            return self.tracer.seen if self.tracer is not None else 0
-        if handle == "trace_sampled":
-            return self.tracer.sampled if self.tracer is not None else 0
-        if handle == "trace_sample_rate":
-            return self.tracer.sample_rate if self.tracer is not None else 0.0
-        if handle == "headless":
-            return self.is_headless()
-        if handle == "headless_entries":
-            return len(self.headless_buffer)
-        if handle == "headless_dropped":
-            return self.headless_buffer.dropped_total
-        if handle == "headless_episodes":
-            return self.headless_episodes
-        if handle == "graph_digest":
-            return self.graph_digest
-        if handle == "controller_generation":
-            return self.highest_controller_generation
-        if handle == "stale_generation_rejections":
-            return self.stale_generation_rejections
-        # Resilient flow state (PROTOCOL.md §11).
-        if handle == "fastpath_flow_invalidations":
-            return (
-                self.flow_cache.flow_invalidations
-                if self.flow_cache is not None else 0
-            )
-        if handle == "state_entries":
-            return self.session.flow_count()
-        if handle == "state_protected":
-            return self.session.flow_table.protected_count
-        if handle == "state_evictions":
-            return self.session.flow_table.evictions
-        if handle == "state_eviction_reasons":
-            return dict(self.session.flow_table.eviction_reasons)
-        if handle == "state_drops":
-            return self.session.flow_table.drops
-        if handle == "state_drop_reasons":
-            return dict(self.session.flow_table.drop_reasons)
-        if handle == "state_pressure":
-            return self.session.under_degradation
-        if handle == "state_generation":
-            return self.session.state_generation
-        if handle == "state_checkpoint_degraded":
-            checkpoint = self.session.flow_table.checkpoint
-            return checkpoint.degraded if checkpoint is not None else False
-        if handle == "state_checkpoint_dropped":
-            checkpoint = self.session.flow_table.checkpoint
-            return (
-                checkpoint.dropped_records if checkpoint is not None else 0
-            )
-        if handle == "state_checkpoint_resumes":
-            checkpoint = self.session.flow_table.checkpoint
-            return checkpoint.resumes if checkpoint is not None else 0
-        if handle == "stale_handoff_rejections":
-            return self.stale_handoff_rejections
-        if handle == "rehomes":
-            return self.rehomes
-        if handle == "rehome_stale_skipped":
-            return self.rehome_stale_skipped
-        if handle == "announced_leader":
-            return self.announced_leader
-        if handle == "controller_endpoints":
-            return list(self.config.controller_endpoints)
-        raise KeyError(f"{OBI_PSEUDO_BLOCK} has no read handle {handle!r}")
+        """Read one ``_obi`` pseudo-block handle (see :data:`OBI_HANDLES`)."""
+        getter = OBI_HANDLES.get(handle)
+        if getter is None:
+            raise KeyError(f"{OBI_PSEUDO_BLOCK} has no read handle {handle!r}")
+        return getter(self)
 
     def _write(self, message: WriteRequest) -> Message:
         if self.engine is None:

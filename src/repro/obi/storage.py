@@ -211,13 +211,6 @@ class SessionStorage:
             self._flows.export_entry(flow, now=reference) for flow in flows
         ]
 
-    def import_entries(self, entries: list[dict[str, Any]], now: float) -> int:
-        """Install exported flow entries; returns how many were imported.
-
-        Compatibility wrapper over :meth:`import_entries_checked`.
-        """
-        return self.import_entries_checked(entries, now).imported
-
     def import_entries_checked(
         self, entries: list[dict[str, Any]], now: float
     ) -> ImportReport:

@@ -59,15 +59,12 @@ class ElementFactory:
 def _effective_cacheable(element: Element, block: Block) -> bool:
     """Resolve whether a visit to ``element`` may be flow-cached.
 
-    Precedence: an explicit ``cacheable`` in the block config wins;
-    otherwise the element class *and* the block-type spec must both
-    allow it (a custom element implementing a built-in type keeps the
-    class's own judgement, and a wire-declared custom type defaults to
-    uncacheable — see ``spec_from_dict``).
+    The element class *and* the block-type spec must both allow it (a
+    custom element implementing a built-in type keeps the class's own
+    judgement, and a wire-declared custom type defaults to uncacheable
+    — see ``spec_from_dict``). Block config has no say: a graph author
+    cannot mark a payload-dependent block replayable.
     """
-    override = element.config.get("cacheable")
-    if override is not None:
-        return bool(override)
     spec_allows = True
     if block.type in block_registry:
         spec_allows = block_registry.get(block.type).cacheable

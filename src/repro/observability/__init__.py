@@ -13,7 +13,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     default_registry,
     diff_snapshots,
-    merge_snapshots,
     set_default_registry,
 )
 from repro.observability.tracing import (
@@ -32,7 +31,6 @@ __all__ = [
     "MetricsRegistry",
     "default_registry",
     "set_default_registry",
-    "merge_snapshots",
     "diff_snapshots",
     "PacketTrace",
     "PacketTracer",

@@ -17,8 +17,8 @@ maps 1:1 onto an exposition format if a real scraper is ever bolted on):
   **no wall-clock values ever appear in metric keys**, only in observed
   samples, so snapshots from different machines/times diff cleanly.
 
-Registries are instantiable (each OBI owns one, so an
-``ObservabilitySnapshot`` is per-instance) and there is one process-wide
+Registries are instantiable (each OBI owns one, so an observability
+snapshot is per-instance) and there is one process-wide
 default (:func:`default_registry`) for code without a natural owner —
 transport channels and controller loops. Increments are plain int/float
 ``+=`` under the GIL: statistically exact for CPython's atomic cases and
@@ -207,37 +207,8 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Snapshot algebra (used by stats aggregation and `repro.tools.obsv`)
+# Snapshot algebra (used by `repro.tools.obsv`)
 # ----------------------------------------------------------------------
-def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
-    """Fleet view: sum counters/gauges and merge same-shape histograms."""
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict[str, Any]] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.get("counters", {}).items():
-            counters[key] = counters.get(key, 0) + value
-        for key, value in snapshot.get("gauges", {}).items():
-            gauges[key] = gauges.get(key, 0) + value
-        for key, hist in snapshot.get("histograms", {}).items():
-            merged = histograms.get(key)
-            if merged is None or merged["boundaries"] != hist["boundaries"]:
-                # First sight (or incompatible shape: keep the newest).
-                histograms[key] = {
-                    "boundaries": list(hist["boundaries"]),
-                    "counts": list(hist["counts"]),
-                    "count": hist["count"],
-                    "sum": hist["sum"],
-                }
-                continue
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"], hist["counts"])
-            ]
-            merged["count"] += hist["count"]
-            merged["sum"] += hist["sum"]
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
 def diff_snapshots(
     before: dict[str, Any], after: dict[str, Any]
 ) -> dict[str, Any]:

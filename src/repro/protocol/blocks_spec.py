@@ -69,50 +69,8 @@ def all_specs() -> list[dict[str, Any]]:
 #: Pseudo-block addressing the OBI itself in Read requests. It is not a
 #: processing block — reads against it answer from instance-level
 #: robustness state (PROTOCOL.md §7), uniformly for the controller and
-#: for chaos tests.
+#: for chaos tests. Its handles are ``repro.obi.instance.OBI_HANDLES``.
 OBI_PSEUDO_BLOCK = "_obi"
-
-#: Read handles served by the OBI pseudo-block.
-OBI_READ_HANDLES = (
-    "alerts_sent",
-    "alerts_suppressed",
-    "errors_total",
-    "packets_shed",
-    "quarantined_blocks",
-    "poison_quarantine",
-    "degraded",
-    # Flow-decision fast path (PROTOCOL.md §8).
-    "fastpath_hits",
-    "fastpath_misses",
-    "fastpath_uncacheable",
-    "fastpath_invalidations",
-    "fastpath_entries",
-    "fastpath_hit_rate",
-    # Crash recovery / headless mode (PROTOCOL.md §10).
-    "headless",
-    "headless_entries",
-    "headless_dropped",
-    "headless_episodes",
-    "graph_digest",
-    "controller_generation",
-    "stale_generation_rejections",
-    # Resilient flow state (PROTOCOL.md §11).
-    "fastpath_flow_invalidations",
-    "state_entries",
-    "state_protected",
-    "state_evictions",
-    "state_eviction_reasons",
-    "state_drops",
-    "state_drop_reasons",
-    "state_pressure",
-    "state_generation",
-    "stale_handoff_rejections",
-)
-
-
-def obi_handle_specs() -> list[dict[str, Any]]:
-    """The `_obi` pseudo-block's handles, in the block-spec handle schema."""
-    return [{"name": name, "writable": False} for name in OBI_READ_HANDLES]
 
 
 def dynamic_port_types() -> list[str]:

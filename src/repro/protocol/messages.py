@@ -426,26 +426,12 @@ class HealthReport(Message):
 
 @register_message
 @dataclass
-class ObservabilitySnapshotRequest(Message):
-    """OBC → OBI: pull the instance's metrics and recent traces (§9).
-
-    Read-only and side-effect free, so it rides the normal idempotent
-    retry machinery with no special casing.
-    """
-
-    TYPE: ClassVar[str] = "ObservabilitySnapshotRequest"
-
-    #: Include the sampled trace ring in the response (metrics are
-    #: always included — they are cheap; traces can be large).
-    include_traces: bool = True
-    #: Return at most this many most-recent traces (0 = all retained).
-    max_traces: int = 0
-
-
-@register_message
-@dataclass
 class ObservabilitySnapshotResponse(Message):
-    """OBI → OBC: one instance's observability state (PROTOCOL.md §9).
+    """One instance's observability state (PROTOCOL.md §9).
+
+    The snapshot value type: what ``telemetry_snapshot()`` returns from
+    the folded §13 stream and what an OBI builds locally; no request
+    message asks for it on the wire any more.
 
     ``metrics`` is the registry snapshot shape of
     :meth:`repro.observability.metrics.MetricsRegistry.snapshot`;
@@ -746,7 +732,7 @@ class TelemetrySubscribe(Message):
     #: Max records per TelemetryStream batch (backpressure credit).
     window: int = 64
     #: One-shot drain: ignore ``window`` and return everything pending
-    #: (the poll_observability compatibility wrapper uses this).
+    #: (``telemetry_snapshot()`` uses this).
     drain: bool = False
     controller_generation: int = 0
 

@@ -212,23 +212,3 @@ class SimNetwork:
                 pass
 
         self.clock.schedule_every(period, beacon)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def observability(self, max_traces: int = 0) -> dict[str, object]:
-        """Pull an observability snapshot from every OBI node.
-
-        Returns node name -> serialized
-        :class:`~repro.protocol.messages.ObservabilitySnapshotResponse`,
-        the same shape the controller aggregates over the wire — handy
-        for inspecting a simulation without standing up a control plane.
-        """
-        snapshots: dict[str, object] = {}
-        for name, node in self.nodes.items():
-            if isinstance(node, ObiNode):
-                response = node.instance.observability_snapshot(
-                    max_traces=max_traces
-                )
-                snapshots[name] = response.to_dict()
-        return snapshots

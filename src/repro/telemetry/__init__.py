@@ -1,10 +1,7 @@
 """Streaming telemetry bus: push-based observability at fleet scale.
 
-PR 4's observability is pull-based: the controller sweeps every OBI
-with ``ObservabilitySnapshotRequest`` on every tick, so telemetry cost
-grows linearly with fleet size whether or not anything changed. This
-package inverts the flow — OBIs *push* cursored records (sparse metric
-deltas, sampled trace spans, alerts) through a bounded
+The one way to observe an OBI: OBIs *push* cursored records (sparse
+metric deltas, sampled trace spans, alerts) through a bounded
 :class:`~repro.telemetry.ring.TelemetryRing`, the controller folds them
 into per-OBI snapshot state (:class:`~repro.telemetry.bus.TelemetryBus`)
 and exposes a ``watch()``/``subscribe()`` northbound API — so cost

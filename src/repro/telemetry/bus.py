@@ -2,7 +2,7 @@
 
 The bus is the consumer half of PROTOCOL.md §13. ``apply_stream`` takes
 one ``TelemetryStream`` batch, drops records at or below the per-OBI
-high-water seq (at-least-once dedup), folds the rest into pull-shaped
+high-water seq (at-least-once dedup), folds the rest into snapshot-shaped
 per-OBI state (see :mod:`repro.telemetry.records`), and delivers each
 fresh record as an *event* to every matching watch and callback.
 
@@ -254,11 +254,8 @@ class TelemetryBus:
         include_traces: bool = True,
         max_traces: int = 0,
     ) -> ObservabilitySnapshotResponse | None:
-        """Folded state re-shaped as a pull-path snapshot response.
-
-        This is what lets ``ObiStatsTracker`` and every downstream
-        consumer of the polling API run unchanged on pushed telemetry.
-        """
+        """Folded state as a snapshot value (PROTOCOL.md §9) — what
+        ``OpenBoxController.telemetry_snapshot`` returns."""
         with self._lock:
             state = self._states.get(obi_id)
             if state is None:

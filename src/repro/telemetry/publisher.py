@@ -166,8 +166,8 @@ class TelemetryPublisher:
         """The next batch for the subscriber (None when nothing to say).
 
         ``drain`` ignores the window credit and returns everything
-        pending — the one-shot form behind the poll compatibility
-        wrappers. Records outside the subscribed topics still advance
+        pending — the one-shot form behind ``telemetry_snapshot()``.
+        Records outside the subscribed topics still advance
         ``through_seq`` (the consumer acks past them) but do not travel.
         """
         sub = self.subscription

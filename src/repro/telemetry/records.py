@@ -11,14 +11,14 @@ Records are plain JSON-able dicts so they travel unchanged inside
   keys whose values changed since the last published record, carrying
   their *new absolute values* (not arithmetic differences). Folding is
   therefore a plain ``dict.update`` — idempotent under at-least-once
-  redelivery, and the folded state is byte-identical to a full poll of
-  the same registry (the pull-vs-push equivalence the tests gate).
+  redelivery, and the folded state is byte-identical to a local
+  snapshot of the same registry (the equivalence the tests gate).
 * ``trace`` — one sampled packet trace (``PacketTrace.to_dict()``).
 * ``alert`` — one upstream alert, mirrored at send/buffer time.
 
 ``fold_records`` applies a batch to per-OBI consumer state shaped like
-the pull path's ``ObservabilitySnapshotResponse`` payload, so the
-controller's existing stats aggregation consumes push output unchanged.
+the ``ObservabilitySnapshotResponse`` payload (PROTOCOL.md §9), which
+is what ``TelemetryBus.snapshot_response`` reads back.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def alert_record(alert: dict[str, Any]) -> dict[str, Any]:
 
 
 def empty_state() -> dict[str, Any]:
-    """Fresh consumer-side per-OBI state (pull-snapshot shaped)."""
+    """Fresh consumer-side per-OBI state (snapshot shaped, §9)."""
     return {
         "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
         "traces": [],

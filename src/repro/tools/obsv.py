@@ -9,8 +9,9 @@ Usage::
 
 ``dump`` stands up a miniature control plane (controller + one OBI over
 the in-process channel, merged firewall+IPS), drives synthetic traffic
-through the data plane, pulls an :class:`ObservabilitySnapshotResponse`
-through the protocol, and writes it as JSON — a self-contained way to
+through the data plane, drains the OBI's telemetry stream into an
+:class:`ObservabilitySnapshotResponse` (``telemetry_snapshot()``), and
+writes it as JSON — a self-contained way to
 see what the telemetry pipeline produces. ``diff`` subtracts two dumped
 snapshots (counter/histogram deltas, gauge from→to). ``trace``
 pretty-prints the sampled per-packet trace trees inside a dump, spans

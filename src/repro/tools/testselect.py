@@ -41,10 +41,12 @@ CLI::
     python -m repro.tools.testselect --changed src/repro/apps/ips.py
     python -m repro.tools.testselect --changed src/repro/obi/fastpath.py \
         --explain tests/obi/test_fastpath.py
+    python -m repro.tools.testselect --orphans
 
 The output is one pytest-ready path per line (the literal ``tests``
 directory when widened). ``--explain`` prints the import chain that
-justifies a test file's selection.
+justifies a test file's selection. ``--orphans`` is a separate,
+read-only dead-code report over the same scan (see :func:`orphans`).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import ast
 import dataclasses
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import deque
@@ -653,6 +656,93 @@ def affects(
     return verdicts
 
 
+#: ``--orphans`` baseline: public API that only tests, examples and
+#: benchmarks call — paper-reproduction entry points, protocol-library
+#: accessors, stdlib hook methods. A ratchet: an entry leaves when its
+#: code is deleted or gains a caller under ``src/`` (a stale entry fails
+#: the report too); new code does not get to join.
+ORPHAN_ALLOWLIST = frozenset("""
+    FirewallApp.block_source SnortRule.header_rule RateLimiterApp.set_rate
+    WebCacheApp.add_page reconnect_obi_rest FaultyStorage.healthy
+    FaultyStorage.durable_size OpenBoxApplication.request_read
+    OpenBoxApplication.request_stats LeaseStore.peek InProcLeaseStore.peek
+    LeaseManager.is_leader OpenBoxController.unregister_application
+    OpenBoxController.health OpenBoxController.request_telemetry_rewind
+    OpenBoxController.attribute_trace OptimizationReport.total_changes
+    PlacementEngine PlacementEngine.remove_candidate PlacementEngine.place_chain
+    ReplicationHub.detach ReplicationHub.lag ScalingManager.register_group
+    ScalingManager.group_of ObiStatsTracker.all_views ObiStatsTracker.live_obis
+    TrafficSteering.register_chain TrafficSteering.set_selector
+    AhoCorasick.num_states AhoCorasick.contains_any RegexRuleSet.matching_pattern
+    HeaderRule.same_match TcamMatcher.entry_count ProcessingGraph.predecessors
+    ProcessingGraph.iter_paths ProcessingGraph.classifiers
+    MergeResult.diameter_reduction make_http_get MacAddress.broadcast
+    MacAddress.is_broadcast MacAddress.is_multicast IcmpMessage.is_echo
+    IcmpMessage.echo_request IcmpMessage.echo_reply_to IcmpMessage.checksum_valid
+    Ipv4Header.src_text Ipv4Header.dst_text NshHeader.decrement_si
+    TcpFlags.to_text flow_of PacketOutcome.forwarded PacketOutcome.effects_key
+    HeadlessBuffer.buffered_total OpenBoxInstance.send_health_report
+    OpenBoxInstance.publish_telemetry OpenBoxInstance.observability_snapshot
+    TokenBucket.fill_fraction
+    PacketStorageService.fetch PacketStorageService.purge
+    ImportReport.rejected_total Histogram.quantile PacketTrace.by_app
+    PacketTrace.format_tree all_specs dynamic_port_types
+    AddCustomModuleRequest.from_binary VmMeasurement.mean_path_length
+    SimNetwork.add_multiplexer generate_firewall_rules generate_snort_web_rules
+    ChainMeasurement.throughput_mbps ChainMeasurement.latency_us
+    ChainMeasurement.latency_percentile_us measure_single
+    SaturationResult.utilization_of simulate_saturation
+    TrafficGenerator.overload_burst TrafficGenerator.syn_flood
+    TrafficGenerator.established_flows TelemetryBus.known_obis
+    FaultyChannel.partitioned _Handler.log_message _Handler.do_POST
+    RetryPolicy.worst_case
+""".split())
+
+
+def orphans(
+    root: pathlib.Path = REPO_ROOT, graph: ImpactGraph | None = None
+) -> dict[str, str]:
+    """Dead-code report: ``qualname -> path:line`` of every top-level
+    function, class and method under ``src/repro`` whose bare name is
+    mentioned nowhere else under ``src/`` (as a name, an attribute or an
+    import — so something only tests call *is* an orphan). Dunders and
+    console-script entry points are exempt. Read-only."""
+    graph = graph or ImpactGraph.scan(root)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    scripts = set(re.findall(
+        r'= "repro[\w.]*:(\w+)"',
+        (root / "pyproject.toml").read_text(encoding="utf-8"),
+    ))
+    mentioned: set[str] = set()
+    defined: dict[str, str] = {}
+    for node in graph.nodes.values():
+        if not node.path.startswith("src/") or node.parse_error:
+            continue
+        tree = ast.parse((root / node.path).read_text(encoding="utf-8"))
+        for item in ast.walk(tree):
+            if isinstance(item, ast.Name):
+                mentioned.add(item.id)
+            elif isinstance(item, ast.Attribute):
+                mentioned.add(item.attr)
+            elif isinstance(item, (ast.Import, ast.ImportFrom)):
+                mentioned.update(a.name.rpartition(".")[2] for a in item.names)
+        for item in tree.body:
+            if isinstance(item, functions) and item.name not in scripts:
+                defined[item.name] = f"{node.path}:{item.lineno}"
+            elif isinstance(item, ast.ClassDef):
+                defined[item.name] = f"{node.path}:{item.lineno}"
+                for sub in item.body:
+                    if isinstance(sub, functions):
+                        defined[f"{item.name}.{sub.name}"] = (
+                            f"{node.path}:{sub.lineno}"
+                        )
+    return {
+        name: where for name, where in defined.items()
+        if (bare := name.rpartition(".")[2]) not in mentioned
+        and not bare.startswith("__")
+    }
+
+
 def changed_files(base: str, root: pathlib.Path = REPO_ROOT) -> list[str]:
     """Changed paths vs ``base``: merge-base diff of worktree+commits,
     plus untracked files under the scanned trees."""
@@ -684,6 +774,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="git ref to diff against (merge-base aware)")
     source.add_argument("--changed", nargs="+", metavar="PATH",
                         help="explicit changed-file list (bypasses git)")
+    source.add_argument("--orphans", action="store_true",
+                        help="report definitions under src/repro that nothing"
+                             " else under src/ references; exit 1 unless the"
+                             " report equals the in-file allowlist")
     parser.add_argument("--explain", metavar="TEST_FILE",
                         help="print the import chain justifying TEST_FILE")
     parser.add_argument("--affects", nargs="+", metavar="NAME=PATHS",
@@ -696,8 +790,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the selection reason to stderr")
     args = parser.parse_args(argv)
 
-    changed = args.changed if args.changed else changed_files(args.base)
     graph = ImpactGraph.scan(REPO_ROOT)
+    if args.orphans:
+        found = orphans(graph=graph)
+        for name in sorted(found, key=found.get):
+            tag = "allowlisted" if name in ORPHAN_ALLOWLIST else "ORPHAN"
+            print(f"{found[name]}: {name} [{tag}]")
+        for name in sorted(ORPHAN_ALLOWLIST - set(found)):
+            print(f"stale allowlist entry (deleted, or now referenced): {name}")
+        return 0 if set(found) == ORPHAN_ALLOWLIST else 1
+    changed = args.changed if args.changed else changed_files(args.base)
     if args.explain:
         print(explain(args.explain, changed, graph=graph))
         return 0

@@ -1,12 +1,10 @@
-"""Graph aggregation and request-multiplexer tests."""
+"""Graph aggregation tests."""
 
 import pytest
 
 from repro.controller.aggregator import GraphAggregator
 from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.segments import SegmentHierarchy
-from repro.controller.xid import RequestMultiplexer
-from repro.protocol.messages import ErrorMessage, ReadResponse
 from tests.conftest import build_firewall_graph, build_ips_graph
 
 
@@ -105,46 +103,3 @@ class TestAggregation:
         result.graph.remove_block(next(iter(result.graph.blocks)))
         assert len(graph.blocks) == 5  # original untouched
 
-
-class TestRequestMultiplexer:
-    def test_dispatch_to_callback(self):
-        mux = RequestMultiplexer()
-        seen = []
-        mux.register(7, "app", seen.append, now=0.0)
-        assert mux.dispatch(ReadResponse(xid=7, value=1))
-        assert seen[0].value == 1
-        assert len(mux) == 0
-
-    def test_unmatched_response_counted(self):
-        mux = RequestMultiplexer()
-        assert not mux.dispatch(ReadResponse(xid=99))
-        assert mux.unmatched == 1
-
-    def test_error_routed_to_error_callback(self):
-        mux = RequestMultiplexer()
-        errors = []
-        mux.register(1, "app", lambda m: pytest.fail("wrong callback"),
-                     now=0.0, error_callback=errors.append)
-        mux.dispatch(ErrorMessage(xid=1, code="x"))
-        assert errors[0].code == "x"
-
-    def test_duplicate_xid_rejected(self):
-        mux = RequestMultiplexer()
-        mux.register(1, "app", lambda m: None, now=0.0)
-        with pytest.raises(ValueError):
-            mux.register(1, "app", lambda m: None, now=0.0)
-
-    def test_expiry(self):
-        mux = RequestMultiplexer(default_timeout=10.0)
-        mux.register(1, "app", lambda m: None, now=0.0)
-        mux.register(2, "app", lambda m: None, now=0.0, timeout=100.0)
-        stale = mux.expire(now=50.0)
-        assert stale == [1]
-        assert mux.expired == 1
-        assert len(mux) == 1
-
-    def test_owner_lookup(self):
-        mux = RequestMultiplexer()
-        mux.register(5, "the-app", lambda m: None, now=0.0)
-        assert mux.owner_of(5) == "the-app"
-        assert mux.owner_of(6) is None

@@ -1,4 +1,4 @@
-"""Failure detection, xid sweeps, deploy-failure accounting, failover."""
+"""Failure detection, deploy-failure accounting, failover."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.controller.orchestrator import OrchestrationLoop
 from repro.controller.scaling import ScalingManager, ScalingPolicy
 from repro.controller.stats import ObiStatsTracker
 from repro.controller.steering import ServiceChain, SteeringHop, TrafficSteering
-from repro.controller.xid import RequestMultiplexer
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.codec import PROTOCOL_VERSION
@@ -17,7 +16,6 @@ from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import (
     GlobalStatsResponse,
     Hello,
-    ReadRequest,
     SetProcessingGraphResponse,
 )
 from repro.sim.events import EventScheduler
@@ -25,36 +23,6 @@ from repro.transport.base import ChannelClosed
 from repro.transport.faults import FaultPlan, FaultyChannel
 
 RULES = 'alert tcp any any -> any 80 (msg:"bad"; content:"attack"; sid:1;)'
-
-
-class TestMultiplexerSweeps:
-    def test_cancel_for_obi_fires_not_connected(self):
-        mux = RequestMultiplexer()
-        errors = []
-        mux.register(1, "app", lambda m: None, now=0.0,
-                     error_callback=errors.append, obi_id="obi-1")
-        mux.register(2, "app", lambda m: None, now=0.0,
-                     error_callback=errors.append, obi_id="obi-2")
-        cancelled = mux.cancel_for_obi("obi-1")
-        assert cancelled == [1]
-        assert len(mux) == 1 and mux.cancelled == 1
-        assert [e.code for e in errors] == [ErrorCode.NOT_CONNECTED]
-        assert errors[0].xid == 1
-
-    def test_expire_fires_error_callback(self):
-        mux = RequestMultiplexer(default_timeout=5.0)
-        errors = []
-        mux.register(7, "app", lambda m: None, now=0.0,
-                     error_callback=errors.append, obi_id="obi-1")
-        assert mux.expire(4.0) == []
-        assert mux.expire(6.0) == [7]
-        assert [e.code for e in errors] == [ErrorCode.INTERNAL_ERROR]
-        assert "timed out" in errors[0].detail
-
-    def test_expire_without_error_callback_is_silent(self):
-        mux = RequestMultiplexer(default_timeout=1.0)
-        mux.register(3, "app", lambda m: None, now=0.0)
-        assert mux.expire(2.0) == [3]  # must not raise
 
 
 class TestStatsTrackerLiveness:
@@ -81,17 +49,6 @@ class TestStatsTrackerLiveness:
         assert tracker.is_live("a", now=55.0)
         assert tracker.dead_obis(now=70.0) == ["a"]
         assert tracker.live_obis(now=55.0) == ["a"]
-
-    def test_forget_sweeps_pending_requests(self):
-        mux = RequestMultiplexer()
-        tracker = ObiStatsTracker(mux=mux)
-        errors = []
-        mux.register(9, "app", lambda m: None, now=0.0,
-                     error_callback=errors.append, obi_id="gone")
-        tracker.register("gone", now=0.0)
-        tracker.forget("gone")
-        assert len(mux) == 0
-        assert errors and errors[0].code == ErrorCode.NOT_CONNECTED
 
 
 class _RejectingChannel:
@@ -217,27 +174,6 @@ class TestDeployFailureAccounting:
         _attach(controller, "bad-obi", _RejectingChannel())
         with pytest.raises(ProtocolError):
             controller.redeploy_all()
-
-
-class TestSendRequestFastFail:
-    def test_pending_entry_fails_immediately_on_dead_channel(self):
-        controller = OpenBoxController(auto_deploy=False)
-        app = IpsApp("ips", parse_snort_rules(RULES), segment="corp")
-        controller.register_application(app)
-        obi = OpenBoxInstance(ObiConfig(obi_id="obi-1", segment="corp"))
-        connect_inproc(controller, obi)
-        controller.deploy("obi-1")
-        # Now sever the channel under the controller's feet.
-        controller.obis["obi-1"].channel = _DeadChannel()
-        errors = []
-        with pytest.raises(ProtocolError):
-            controller._send_request(
-                app, "obi-1", ReadRequest(block="x", handle="y"),
-                callback=lambda m: None, error_callback=errors.append,
-            )
-        # The app's error callback fired synchronously; nothing leaked.
-        assert errors and errors[0].code == ErrorCode.NOT_CONNECTED
-        assert len(controller.mux) == 0
 
 
 class FailoverProvisioner:

@@ -3,13 +3,20 @@
 import pytest
 
 from repro.bootstrap import connect_inproc
-from repro.controller.apps import AppStatement, FunctionApplication
+from repro.controller.apps import ALERT_LOG_SIZE, AppStatement, FunctionApplication
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.codec import PROTOCOL_VERSION
 from repro.protocol.errors import ProtocolError
-from repro.protocol.messages import Alert, ErrorMessage, Hello, KeepAlive
+from repro.observability.metrics import default_registry
+from repro.protocol.messages import (
+    Alert,
+    ErrorMessage,
+    Hello,
+    KeepAlive,
+    LogMessage,
+)
 from tests.conftest import build_firewall_graph, build_ips_graph
 
 
@@ -131,6 +138,15 @@ class TestEvents:
     def test_alert_for_unknown_app_kept_by_controller(self, controller):
         controller.handle_message(Alert(obi_id="x", origin_app="ghost", message="m"))
         assert len(controller.alerts) == 1
+
+    def test_logs_are_a_bounded_ring_with_a_monotonic_count(self, controller):
+        counter = default_registry().counter("controller_logs_received_total")
+        before = counter.value
+        for index in range(ALERT_LOG_SIZE + 5):
+            controller.handle_message(LogMessage(obi_id="x", message=str(index)))
+        assert len(controller.logs) == ALERT_LOG_SIZE
+        assert controller.logs[-1].message == str(ALERT_LOG_SIZE + 4)
+        assert counter.value - before == ALERT_LOG_SIZE + 5
 
     def test_on_obi_connected_hook(self, controller):
         seen = []

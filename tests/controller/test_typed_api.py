@@ -139,14 +139,6 @@ class TestCallbackShimRemoved:
         with pytest.raises(TypeError):
             fw.request_stats("obi-1", lambda s: None)
 
-    def test_typed_form_does_not_warn(self, controller, recwarn):
-        _connect(controller)
-        fw = _fw_app()
-        controller.register_application(fw)
-        fw.request_write("obi-1", "fw_drop", "reset_counts", None)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
 
 class TestStatementValidation:
     def test_segment_and_obi_id_conflict_rejected(self):

@@ -172,6 +172,23 @@ class TestFastPathEquivalence:
         assert fast.flow_cache.hits == 0
         assert fast.flow_cache.uncacheable_hits == 3
 
+    def test_block_config_cannot_make_a_dpi_block_cacheable(self):
+        """``"cacheable": true`` in a RegexClassifier's config is not an
+        override: replaying its verdict would miss the attack payload."""
+        graph = _merged_graph()
+        regexes = [b for b in graph.blocks.values() if b.type == "RegexClassifier"]
+        assert regexes
+        for block in regexes:
+            block.config["cacheable"] = True
+        fast, slow = _engine_pair(graph)
+        clean = make_tcp_packet("44.0.0.1", "192.168.0.9", 5, 80,
+                                payload=b"GET / HTTP/1.1").data
+        bad = make_tcp_packet("44.0.0.1", "192.168.0.9", 5, 80,
+                              payload=b"launch the attack").data
+        _assert_equivalent(fast, slow, [clean, bad, clean, bad])
+        assert fast.flow_cache.hits == 0
+        assert fast.flow_cache.uncacheable_hits == 3
+
     def test_non_ip_frames_bypass_the_cache(self):
         fast, slow = _engine_pair(_merged_graph())
         _assert_equivalent(fast, slow, [b"\x00" * 14] * 3)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
+from repro.obi.services import LogService
 from repro.protocol.codec import PROTOCOL_VERSION
 from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import (
@@ -161,6 +163,23 @@ class TestMisc:
         request = SetProcessingGraphRequest(graph=firewall_graph.to_dict())
         response = obi.handle_message(request)
         assert response.xid == request.xid
+
+    def test_passed_in_empty_log_service_is_the_one_used(self):
+        """An empty ``LogService`` is falsy (``__len__`` is 0); it must
+        still be the service the first Log block writes to."""
+        service = LogService()
+        obi = OpenBoxInstance(ObiConfig(obi_id="o"), log_service=service)
+        assert obi.log_service is service
+        graph = ProcessingGraph("g")
+        read = Block("FromDevice", name="r", config={"devname": "in"})
+        log = Block("Log", name="l", config={"message": "seen"}, origin_app="app")
+        out = Block("ToDevice", name="o", config={"devname": "out"})
+        graph.add_blocks([read, log, out])
+        graph.connect(read, log)
+        graph.connect(log, out)
+        deploy(obi, graph)
+        obi.process_packet(make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2))
+        assert [record.message for record in service.records] == ["seen"]
 
     def test_reconfigure_poll_delay_applied(self, firewall_graph):
         import time

@@ -6,15 +6,18 @@ suppression on the upstream channel, and the ``_obi`` pseudo-block
 through which the controller reads all of it.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.bootstrap import connect_inproc
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.engine import Element
-from repro.obi.instance import ObiConfig, OpenBoxInstance
+from repro.obi.instance import OBI_HANDLES, ObiConfig, OpenBoxInstance
 from repro.obi.robustness import FaultPolicy, OverloadPolicy
-from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK, OBI_READ_HANDLES
+from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK
 from repro.protocol.errors import ErrorCode
 from repro.protocol.messages import (
     ErrorMessage,
@@ -65,14 +68,27 @@ def connected(config: ObiConfig, clock=None):
 
 
 class TestObiReadHandles:
-    def test_all_declared_handles_readable_without_graph(self):
-        obi = OpenBoxInstance(ObiConfig(obi_id="o1"))
-        for handle in OBI_READ_HANDLES:
+    def test_every_handle_readable_on_a_bare_obi(self):
+        # No graph, no flow cache, no tracer, no checkpointer: every
+        # optional component a getter reaches for is absent.
+        obi = OpenBoxInstance(ObiConfig(obi_id="o1", flow_cache_size=0))
+        assert obi.flow_cache is None and obi.tracer is None
+        assert obi.session.flow_table.checkpoint is None
+        for handle in OBI_HANDLES:
             response = obi.handle_message(
                 ReadRequest(block=OBI_PSEUDO_BLOCK, handle=handle)
             )
             assert isinstance(response, ReadResponse), handle
             assert response.block == OBI_PSEUDO_BLOCK
+
+    def test_every_handle_documented_in_protocol_section_7(self):
+        protocol = (
+            pathlib.Path(__file__).resolve().parents[2] / "docs" / "PROTOCOL.md"
+        ).read_text(encoding="utf-8")
+        section = protocol.split("### The `_obi` pseudo-block", 1)[1]
+        section = section.split("\n### ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+        assert documented == set(OBI_HANDLES)
 
     def test_unknown_obi_handle_rejected(self):
         obi = OpenBoxInstance(ObiConfig(obi_id="o1"))

@@ -9,7 +9,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     default_registry,
     diff_snapshots,
-    merge_snapshots,
 )
 
 
@@ -92,21 +91,6 @@ class TestSnapshotAlgebra:
         registry = MetricsRegistry()
         registry_setup(registry)
         return registry.snapshot()
-
-    def test_merge_sums_counters_and_gauges(self):
-        a = self._snap(lambda r: (r.counter("c").inc(2), r.gauge("g").set(1)))
-        b = self._snap(lambda r: (r.counter("c").inc(3), r.gauge("g").set(4)))
-        merged = merge_snapshots([a, b])
-        assert merged["counters"]["c"] == 5
-        assert merged["gauges"]["g"] == 5
-
-    def test_merge_histograms_bucketwise(self):
-        def setup(r):
-            r.histogram("h", buckets=[1.0]).observe(0.5)
-
-        merged = merge_snapshots([self._snap(setup), self._snap(setup)])
-        assert merged["histograms"]["h"]["counts"] == [2, 0]
-        assert merged["histograms"]["h"]["count"] == 2
 
     def test_diff_counters(self):
         before = self._snap(lambda r: r.counter("c").inc(2))

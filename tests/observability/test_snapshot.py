@@ -1,9 +1,10 @@
 """Observability snapshot round-trips: inproc AND REST.
 
-The §9 response shape, obtained through the §13 one-shot drain
-(``telemetry_snapshot``); the deprecated polling wrappers are covered
-in tests/telemetry/test_push_pipeline.py.
+The §9 snapshot shape, obtained through the §13 one-shot drain
+(``telemetry_snapshot``).
 """
+
+import json
 
 import pytest
 
@@ -16,10 +17,7 @@ from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
-from repro.protocol.messages import (
-    ObservabilitySnapshotRequest,
-    ObservabilitySnapshotResponse,
-)
+from repro.protocol.messages import ObservabilitySnapshotResponse
 from tests.conftest import build_firewall_graph
 
 
@@ -48,7 +46,7 @@ class TestInprocRoundTrip:
         _register_fw(controller)
         return controller, obi
 
-    def test_poll_returns_metrics_and_traces(self, plane):
+    def test_snapshot_returns_metrics_and_traces(self, plane):
         controller, obi = plane
         _drive(obi)
         snapshot = controller.telemetry_snapshot("obi-1", max_traces=3)
@@ -58,53 +56,12 @@ class TestInprocRoundTrip:
         assert snapshot.packets_sampled == 5
         assert len(snapshot.traces) == 3
 
-    def test_poll_recorded_in_stats_tracker(self, plane):
-        controller, obi = plane
-        _drive(obi)
-        controller.telemetry_snapshot("obi-1")
-        view = controller.stats.view("obi-1")
-        assert view.last_observability is not None
-        assert view.last_observability.graph_version == obi.graph_version
-
     def test_include_traces_false_omits_traces(self, plane):
         controller, obi = plane
         _drive(obi)
         snapshot = controller.telemetry_snapshot("obi-1", include_traces=False)
         assert snapshot.traces == []
         assert snapshot.metrics["counters"]["engine_packets_total"] == 5
-
-    def test_snapshot_request_is_idempotent_on_retry(self, plane):
-        """A retransmitted pull replays the cached response (xid dedup)."""
-        _controller, obi = plane
-        _drive(obi)
-        request = ObservabilitySnapshotRequest(max_traces=1)
-        first = obi.handle_message(request)
-        _drive(obi)  # state moves on...
-        replayed = obi.handle_message(request)  # ...but the retry must not
-        assert replayed.to_dict() == first.to_dict()
-
-    def test_poll_all_and_fleet_aggregation(self):
-        controller = OpenBoxController()
-        obis = []
-        for index in (1, 2):
-            obi = OpenBoxInstance(ObiConfig(
-                obi_id=f"obi-{index}", segment="corp", trace_sample_rate=1.0
-            ))
-            connect_inproc(controller, obi)
-            obis.append(obi)
-        _register_fw(controller)
-        for obi in obis:
-            _drive(obi, n=4)
-        snapshots = {
-            obi_id: controller.telemetry_snapshot(obi_id, max_traces=2)
-            for obi_id in controller.obis
-        }
-        assert set(snapshots) == {"obi-1", "obi-2"}
-        fleet = controller.stats.aggregate_observability()
-        assert fleet["metrics"]["counters"]["engine_packets_total"] == 8
-        assert set(fleet["obis"]) == {"obi-1", "obi-2"}
-        assert all(trace["obi_id"] in {"obi-1", "obi-2"}
-                   for trace in fleet["traces"])
 
     def test_disabled_tracing_still_reports_metrics(self):
         controller = OpenBoxController()
@@ -147,6 +104,14 @@ class TestRestRoundTrip:
         assert trace["spans"]
         assert {span["block"] for span in trace["spans"]} <= set(
             controller.obis["rest-obi"].deployed.graph.blocks
+        )
+        # At a quiescent point the folded metrics are byte-identical to
+        # the OBI's local snapshot, JSON wire and all. (Local first: the
+        # drain's own dispatches land after its collect ran.)
+        local = obi.observability_snapshot(include_traces=False)
+        folded = controller.telemetry_snapshot("rest-obi")
+        assert json.dumps(folded.metrics, sort_keys=True) == json.dumps(
+            local.metrics, sort_keys=True
         )
         # Transport counters observed the exchange on the shared registry.
         from repro.observability.metrics import default_registry

@@ -35,7 +35,6 @@ from repro.protocol.messages import (
     ListCapabilitiesRequest,
     ListCapabilitiesResponse,
     LogMessage,
-    ObservabilitySnapshotRequest,
     ObservabilitySnapshotResponse,
     PacketHistoryRequest,
     PacketHistoryResponse,
@@ -113,7 +112,6 @@ ALL_MESSAGES = [
                                 "session": {"ct_state": "established"}}]),
     StateHandoffResponse(accepted=True, stale=False, flows_imported=1,
                          rejected={}),
-    ObservabilitySnapshotRequest(include_traces=True, max_traces=8),
     ObservabilitySnapshotResponse(
         obi_id="o1", graph_version=3,
         metrics={"counters": {"engine_packets_total": 9}, "gauges": {},
@@ -189,9 +187,11 @@ class TestCodecErrors:
             decode_message(payload)
         assert info.value.code == ErrorCode.MALFORMED_MESSAGE
 
-    def test_unknown_type(self):
+    # The retired §9 pull request is now just another unknown type.
+    @pytest.mark.parametrize("type_name", ["Nope", "ObservabilitySnapshotRequest"])
+    def test_unknown_type(self, type_name):
         payload = json.dumps(
-            {"version": PROTOCOL_VERSION, "message": {"type": "Nope"}}
+            {"version": PROTOCOL_VERSION, "message": {"type": type_name}}
         ).encode()
         with pytest.raises(CodecError) as info:
             decode_message(payload)

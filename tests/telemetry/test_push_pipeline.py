@@ -3,8 +3,8 @@
 Controller and OBI wired over the in-process channel: subscribe,
 push, fold, ack. The invariants under test are the ones the design
 leans on — at-least-once delivery whose replays dedupe by cursor,
-counted (never silent) loss, a folded state byte-identical to a full
-poll of the same registry, window backpressure, NACK-driven rewind,
+counted (never silent) loss, a folded state byte-identical to a local
+snapshot of the same registry, window backpressure, NACK-driven rewind,
 and generation fencing on both sides of the stream.
 """
 
@@ -74,16 +74,20 @@ class TestSubscribeAndFold:
         assert stream.records[0]["kind"] == "baseline"
         assert_push_equals_pull(controller, obi)
 
-    def test_push_feeds_existing_stats_views(self):
+    def test_pushed_stream_alone_is_liveness_evidence(self):
         controller, obi, _, clock = connected()
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
+        timeout = controller.stats.liveness_timeout
+        # No keepalive, stats poll or health report from here on: the
+        # only thing the controller hears is one pushed stream.
+        clock.advance(timeout - 1.0)
         obi.process_packet(pass_packet())
         assert obi.publish_telemetry().ok
-        view = controller.stats.view("o1")
-        assert view.last_observability is not None
-        assert (view.last_observability.metrics["counters"]
-                ["engine_packets_total"] >= 1)
+        clock.advance(2.0)
+        assert controller.stats.is_live("o1")
+        clock.advance(timeout)
+        assert not controller.stats.is_live("o1")
 
     def test_incremental_deltas_match_full_poll(self):
         controller, obi, _, _ = connected()
@@ -334,21 +338,3 @@ class TestNorthboundWatch:
         assert [e["topic"] for e in seen] == ["alerts"]
         unsubscribe()
 
-
-class TestPollWrappers:
-    def test_poll_observability_warns_and_matches_pull(self):
-        controller, obi, _, _ = connected()
-        obi.process_packet(pass_packet())
-        # Pull first: the poll's own subscribe/ack dispatches land in
-        # the registry only after the drain's collect has run.
-        pulled = obi.observability_snapshot(include_traces=False)
-        with pytest.warns(DeprecationWarning, match="telemetry_snapshot"):
-            response = controller.poll_observability("o1")
-        assert metrics_json(response.metrics) == metrics_json(pulled.metrics)
-
-    def test_poll_all_drains_every_reachable_obi(self):
-        controller, obi, _, _ = connected()
-        with pytest.warns(DeprecationWarning):
-            snapshots = controller.poll_observability_all()
-        assert set(snapshots) == {"o1"}
-        assert snapshots["o1"].metrics["counters"]

@@ -3,7 +3,7 @@
 The behavioural safety net — seeded mutations proving selected ⊇
 failing — lives in test_testselect_safety.py; these tests pin the graph
 construction, widening rules, re-export resolution, fixture edges, the
---explain chain, and the CLI/plugin surface.
+--explain chain, the --orphans report, and the CLI/plugin surface.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import sys
 import pytest
 
 from repro.tools.testselect import (
+    ORPHAN_ALLOWLIST,
     REPO_ROOT,
     ImpactGraph,
     Selection,
     affects,
     explain,
+    orphans,
     select,
     widening_reason,
 )
@@ -231,6 +233,36 @@ class TestExplain:
         assert "full suite" in text
 
 
+class TestOrphans:
+    def test_repo_report_equals_the_allowlist(self, graph):
+        # The ratchet CI runs as ``testselect --orphans``: nothing new
+        # is orphaned, and nothing allowlisted has since been deleted
+        # or gained a caller.
+        assert set(orphans(graph=graph)) == ORPHAN_ALLOWLIST
+
+    def test_flags_what_only_tests_reference(self, tmp_path):
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "pyproject.toml").write_text(
+            '[project.scripts]\ntool = "repro.m:main"\n'
+        )
+        (tmp_path / "src" / "repro" / "m.py").write_text(
+            "def main(): return used() + Box().held()\n"
+            "def used(): return 1\n"
+            "def only_tests_call(): return 2\n"
+            "class Box:\n"
+            "    def __len__(self): return 0\n"
+            "    def held(self): return 3\n"
+            "    def dropped(self): return 4\n"
+        )
+        (tmp_path / "tests" / "test_m.py").write_text(
+            "from repro.m import only_tests_call\n"
+        )
+        found = orphans(root=tmp_path)
+        assert sorted(found) == ["Box.dropped", "only_tests_call"]
+        assert found["Box.dropped"] == "src/repro/m.py:7"
+
+
 def _subprocess_env() -> dict[str, str]:
     """Child env with src/ importable regardless of the parent's cwd."""
     env = os.environ.copy()
@@ -273,6 +305,11 @@ class TestCommandLine:
         assert "bench=true" in lines
         assert "proto=false" in lines
         assert "chaos=true" in lines
+
+    def test_orphans_flag_is_green(self):
+        proc = self._run("--orphans")
+        assert proc.returncode == 0, proc.stdout
+        assert "[ORPHAN]" not in proc.stdout and "stale" not in proc.stdout
 
     def test_explain_flag(self):
         proc = self._run(
