@@ -5,7 +5,9 @@ The OBC (paper §3.3) is the logically-centralized control plane:
 * applications register and declare logic as processing graphs scoped to
   *segments* (:mod:`repro.controller.apps`, :mod:`.segments`);
 * per OBI, the controller selects the applicable graphs, merges them
-  (:mod:`.aggregator`), and deploys the result;
+  (:mod:`.aggregator`), and deploys the result — one merge per distinct
+  list of applicable statements, one push per changed digest
+  (:mod:`.sweep`);
 * upstream events (alerts, keepalives) are demultiplexed to the right
   application (:mod:`.xid`, :mod:`.obc`);
 * load statistics drive scaling decisions (:mod:`.stats`, :mod:`.scaling`);
@@ -32,15 +34,17 @@ from repro.controller.migration import StateMigrator
 from repro.controller.obc import ObiHandle, OpenBoxController
 from repro.controller.optimizer import optimize_graph
 from repro.controller.orchestrator import OrchestrationLoop
-from repro.controller.reconcile import AntiEntropyLoop, ReconcileReport
+from repro.controller.reconcile import AntiEntropyLoop
 from repro.controller.replication import ReplicationHub, StandbyController
 from repro.controller.segments import SegmentHierarchy
 from repro.controller.split import deploy_split, split_at_classifier
+from repro.controller.sweep import FleetSweep, SweepReport
 from repro.controller.verification import verify_application, verify_graph
 
 __all__ = [
     "AntiEntropyLoop",
     "AppStatement",
+    "FleetSweep",
     "GraphAggregator",
     "InProcLeaseStore",
     "JournalCursor",
@@ -53,12 +57,12 @@ __all__ = [
     "OpenBoxApplication",
     "OpenBoxController",
     "OrchestrationLoop",
-    "ReconcileReport",
     "ReplicationHub",
     "SegmentHierarchy",
     "StandbyController",
     "StateJournal",
     "StateMigrator",
+    "SweepReport",
     "deploy_split",
     "optimize_graph",
     "split_at_classifier",

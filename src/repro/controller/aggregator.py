@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Any, Iterable
 
-from repro.controller.apps import OpenBoxApplication
+from repro.controller.apps import AppStatement, OpenBoxApplication
 from repro.controller.segments import SegmentHierarchy
-from repro.core.graph import ProcessingGraph
+from repro.core.graph import ProcessingGraph, canonical_graph_digest
 from repro.core.merge import MergePolicy, MergeResult, merge_graphs, naive_merge
 
 
@@ -39,9 +40,14 @@ def _stamp_ownership(graph: ProcessingGraph, app_name: str) -> ProcessingGraph:
     return stamped
 
 
-@dataclass
+@dataclass(eq=False)
 class AggregationResult:
-    """The deployable graph for one OBI plus merge provenance."""
+    """The deployable graph for one OBI plus merge provenance.
+
+    OBIs with the same applicable statements share one result within a
+    fleet sweep (:class:`SweepApplications`): treat it as read-only.
+    Results compare (and hash) by identity.
+    """
 
     graph: ProcessingGraph
     app_names: list[str]
@@ -63,6 +69,55 @@ class AggregationResult:
         }
 
 
+class SweepApplications:
+    """The application set as one fleet sweep sees it.
+
+    The segment tree, not the fleet's width, bounds how many distinct
+    merged graphs a deployment needs (paper §3.3-3.4), so everything
+    :meth:`GraphAggregator.aggregate` computes is shared among the OBIs
+    of one sweep: every application's ``statements()`` is taken once,
+    here, and the merged result and its wire form are kept per distinct
+    list of applicable statements.
+
+    All of it lives exactly as long as the sweep holds this object. The
+    next sweep builds its own, so an application that changed its rules
+    in between is asked again and can never be served a stale merge.
+    """
+
+    def __init__(self, applications: Iterable[OpenBoxApplication]) -> None:
+        #: ``(application, statement)`` in deployment order: by priority,
+        #: ties by application name, so deployment is deterministic
+        #: regardless of registration order.
+        self.statements: list[tuple[OpenBoxApplication, AppStatement]] = [
+            (app, statement)
+            for app in sorted(applications, key=lambda a: (a.priority, a.name))
+            for statement in app.statements()
+        ]
+        #: Applicable-statement indices -> the one merge they share.
+        self.results: dict[tuple[int, ...], AggregationResult] = {}
+        self._wire: dict[AggregationResult, tuple[dict[str, Any], str]] = {}
+
+    def applicable(
+        self, obi_id: str, obi_segment: str, hierarchy: SegmentHierarchy
+    ) -> tuple[int, ...]:
+        """Indices into :attr:`statements` of those applying to an OBI."""
+        return tuple(
+            index for index, (_app, statement) in enumerate(self.statements)
+            if statement.applies_to(obi_id, obi_segment, hierarchy)
+        )
+
+    def wire_form(self, result: AggregationResult) -> tuple[dict[str, Any], str]:
+        """``result.graph.to_dict()`` and its canonical digest, computed
+        once per shared result."""
+        known = self._wire.get(result)
+        if known is None:
+            graph_dict = result.graph.to_dict()
+            known = self._wire[result] = (
+                graph_dict, canonical_graph_digest(graph_dict)
+            )
+        return known
+
+
 class GraphAggregator:
     """Builds each OBI's deployed graph from the application set."""
 
@@ -77,40 +132,45 @@ class GraphAggregator:
         #: Apply the §6 control-level optimizations to deployable graphs.
         self.optimize = optimize
 
-    def applicable_graphs(
-        self,
-        applications: list[OpenBoxApplication],
-        obi_id: str,
-        obi_segment: str,
-    ) -> list[tuple[OpenBoxApplication, ProcessingGraph]]:
-        """Graphs applying to an OBI, ordered by application priority.
-
-        Priority ties break by application name so deployment is
-        deterministic regardless of registration order.
-        """
-        selected: list[tuple[OpenBoxApplication, ProcessingGraph]] = []
-        for app in sorted(applications, key=lambda a: (a.priority, a.name)):
-            for statement in app.statements():
-                if statement.applies_to(obi_id, obi_segment, self.hierarchy):
-                    selected.append((app, _stamp_ownership(statement.graph, app.name)))
-        return selected
-
     def aggregate(
         self,
-        applications: list[OpenBoxApplication],
+        applications: Iterable[OpenBoxApplication] | SweepApplications,
         obi_id: str,
         obi_segment: str,
     ) -> AggregationResult | None:
-        """Build the merged graph for one OBI; None if nothing applies."""
-        selected = self.applicable_graphs(applications, obi_id, obi_segment)
+        """Build the merged graph for one OBI; None if nothing applies.
+
+        Called with the same :class:`SweepApplications` for every OBI of
+        a sweep, OBIs with equal applicable statements get the same
+        result object; a plain collection of applications is a sweep of
+        this one call.
+        """
+        sweep = (
+            applications if isinstance(applications, SweepApplications)
+            else SweepApplications(applications)
+        )
+        selected = sweep.applicable(obi_id, obi_segment, self.hierarchy)
         if not selected:
             return None
+        result = sweep.results.get(selected)
+        if result is None:
+            result = sweep.results[selected] = self._merge(
+                [sweep.statements[index] for index in selected]
+            )
+        return result
 
+    def _merge(
+        self, selected: list[tuple[OpenBoxApplication, AppStatement]]
+    ) -> AggregationResult:
+        """Stamp, merge, optimize and validate one list of statements."""
         # Merge consecutive runs of mergeable apps; chain runs naively.
         merge_results: list[MergeResult] = []
         run_graphs: list[ProcessingGraph] = []
         for mergeable, run in groupby(selected, key=lambda item: item[0].mergeable):
-            graphs = [graph for _app, graph in run]
+            graphs = [
+                _stamp_ownership(statement.graph, app.name)
+                for app, statement in run
+            ]
             if mergeable:
                 result = merge_graphs(graphs, self.policy)
                 merge_results.append(result)
@@ -127,6 +187,6 @@ class GraphAggregator:
         final.validate()
         return AggregationResult(
             graph=final,
-            app_names=[app.name for app, _graph in selected],
+            app_names=[app.name for app, _statement in selected],
             merge_results=merge_results,
         )

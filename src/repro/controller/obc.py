@@ -29,7 +29,7 @@ from repro.controller.results import (
 )
 from repro.controller.segments import SegmentHierarchy
 from repro.controller.stats import ObiStatsTracker
-from repro.core.graph import canonical_graph_digest
+from repro.controller.sweep import PUSHED, FleetSweep
 from repro.core.merge import MergePolicy
 from repro.durable import Storage
 from repro.observability.metrics import default_registry
@@ -50,8 +50,6 @@ from repro.protocol.messages import (
     ObservabilitySnapshotResponse,
     ReadRequest,
     ReadResponse,
-    SetProcessingGraphRequest,
-    SetProcessingGraphResponse,
     TelemetryAck,
     TelemetryStream,
     TelemetrySubscribe,
@@ -441,13 +439,10 @@ class OpenBoxController:
                 self.redeploy_all()
 
     def redeploy_app(self, app: OpenBoxApplication) -> None:
-        """An application's logic changed; redeploy affected OBIs."""
-        for handle in self.obis.values():
-            if any(
-                statement.applies_to(handle.obi_id, handle.segment, self.segments)
-                for statement in app.statements()
-            ):
-                self.deploy(handle.obi_id)
+        """An application's logic changed; sweep the OBIs it applies to."""
+        sweep = FleetSweep(self)
+        handles = sweep.affected_by(app, list(self.obis.values()))
+        sweep.run(handles).raise_if_refused()
 
     # ------------------------------------------------------------------
     # Southbound: OBI lifecycle
@@ -589,7 +584,7 @@ class OpenBoxController:
         """The merged graph that should run on ``obi_id`` right now."""
         handle = self._handle_of(obi_id)
         return self.aggregator.aggregate(
-            list(self.applications.values()), handle.obi_id, handle.segment
+            self.applications.values(), handle.obi_id, handle.segment
         )
 
     def _record_deploy_failure(self, obi_id: str, detail: str) -> None:
@@ -608,120 +603,26 @@ class OpenBoxController:
         ))
 
     def deploy(self, obi_id: str) -> AggregationResult | None:
-        """Merge and push the applicable graphs to one OBI."""
-        if self.degraded:
-            # Journaled-read-only: a deploy the journal cannot record is
-            # a deploy a recovered controller would not know about —
-            # exactly the intent-divergence the journal exists to
-            # prevent. OBIs keep forwarding on what they already run.
-            raise ProtocolError(
-                ErrorCode.DEGRADED,
-                f"deploy to {obi_id!r} fenced: controller is in "
-                "journaled-read-only degraded mode (journal storage "
-                "failed); will resume when storage heals",
-            )
+        """Merge and push the applicable graphs to one OBI — always a
+        push, whatever the OBI reports running (None: nothing applies)."""
         handle = self._handle_of(obi_id)
-        if handle.channel is None:
-            raise ProtocolError(ErrorCode.NOT_CONNECTED, f"OBI {obi_id!r} has no channel")
-        result = self.compute_deployment(obi_id)
-        if result is None:
-            return None
-        graph_dict = result.graph.to_dict()
-        digest = canonical_graph_digest(graph_dict)
-        started = self.clock()
-        try:
-            response = handle.channel.request(SetProcessingGraphRequest(
-                graph=graph_dict,
-                controller_generation=self.generation,
-                graph_digest=digest,
-            ))
-        except ChannelClosed as exc:
-            self._record_deploy_failure(obi_id, f"channel failed: {exc}")
-            raise ProtocolError(
-                ErrorCode.NOT_CONNECTED, f"OBI {obi_id!r} unreachable: {exc}"
-            ) from exc
-        finally:
-            self._m_deploy_latency.observe(self.clock() - started)
-        if isinstance(response, SetProcessingGraphResponse) and response.ok:
-            handle.deployed = result
-            handle.generation += 1
-            handle.intended_digest = digest
-            handle.reported_digest = response.graph_digest or digest
-            handle.reported_graph_version = (
-                response.graph_version or handle.generation
-            )
-            handle.reported_generation = max(
-                handle.reported_generation, self.generation
-            )
-            self.consecutive_deploy_failures.pop(obi_id, None)
-            self._m_deploys.inc()
-            self._journal({
-                "rec": "deploy", "obi_id": obi_id, "digest": digest,
-                "graph_version": handle.generation,
-                "xid_high": xid_watermark(),
-            }, flush=True)
-            return result
-        code = str(getattr(response, "code", ""))
-        if code == ErrorCode.STALE_GENERATION:
-            # The OBI has obeyed a newer controller; we are the stale
-            # side of a split brain. Record it and stop claiming the
-            # fleet — do not count this as an OBI-side deploy failure.
-            self.superseded = True
-            raise ProtocolError(
-                ErrorCode.STALE_GENERATION,
-                f"OBI {obi_id!r} rejected generation {self.generation}: "
-                f"{getattr(response, 'detail', '')}",
-            )
-        detail = getattr(response, "detail", "") or code
-        self._record_deploy_failure(obi_id, str(detail))
-        raise ProtocolError(
-            ErrorCode.INVALID_GRAPH, f"OBI {obi_id!r} rejected graph: {detail}"
-        )
+        pushed = FleetSweep(self).converge(handle, force=True) == PUSHED
+        return handle.deployed if pushed else None
 
-    def reconcile_obi(self, obi_id: str) -> AggregationResult | None:
-        """Converge one OBI on the intended graph (anti-entropy primitive).
+    def reconcile_obi(self, obi_id: str) -> str:
+        """Converge one OBI on the intended graph: a sweep of one.
 
-        Computes what *should* run, then compares canonical digests: if
-        the OBI already reports exactly that graph (e.g. it kept serving
-        headless across a controller crash), the deployment is **adopted**
-        — controller-side bookkeeping and the journal are updated with no
-        southbound push, so recovery causes no duplicate deploy side
-        effects. Otherwise it falls through to a normal :meth:`deploy`.
+        Returns what it took — ``converged``, ``adopted`` (the OBI kept
+        serving the right graph across a controller crash: bookkeeping
+        and journal catch up, no southbound push) or ``pushed``; see
+        :mod:`repro.controller.sweep`.
         """
-        handle = self._handle_of(obi_id)
-        result = self.compute_deployment(obi_id)
-        if result is None:
-            return None
-        digest = canonical_graph_digest(result.graph.to_dict())
-        if handle.reported_digest and handle.reported_digest == digest:
-            handle.deployed = result
-            handle.intended_digest = digest
-            if handle.generation == 0:
-                handle.generation = max(1, handle.reported_graph_version)
-            self._journal({
-                "rec": "deploy", "obi_id": obi_id, "digest": digest,
-                "graph_version": handle.generation,
-                "xid_high": xid_watermark(),
-            }, flush=True)
-            return result
-        return self.deploy(obi_id)
+        return FleetSweep(self).converge(self._handle_of(obi_id))
 
     def redeploy_all(self) -> None:
-        """Deploy to every connected OBI; one failing OBI (recorded via
-        the deploy-failure path) must not block deployment to the rest."""
-        errors: list[ProtocolError] = []
-        for obi_id, handle in list(self.obis.items()):
-            if handle.channel is not None:
-                try:
-                    self.deploy(obi_id)
-                except ProtocolError as exc:
-                    errors.append(exc)
-        if errors and len(errors) == sum(
-            1 for h in self.obis.values() if h.channel is not None
-        ):
-            # Every single OBI refused: the new application logic itself
-            # is bad — surface it to the registering caller.
-            raise errors[0]
+        """Sweep the whole fleet: one merge per distinct applicable
+        list, a push only where the digest changed."""
+        FleetSweep(self).run(list(self.obis.values())).raise_if_refused()
 
     # ------------------------------------------------------------------
     # Northbound: application-initiated requests (paper §4.1)

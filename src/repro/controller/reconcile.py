@@ -23,43 +23,21 @@ the gap the way replicated systems do it — periodic anti-entropy:
 Rounds are idempotent: once every OBI reports its intended digest,
 further rounds do nothing, which is the convergence criterion
 :meth:`AntiEntropyLoop.converged` checks and the chaos suite asserts.
+
+A round is a :class:`~repro.controller.sweep.FleetSweep` over every
+known OBI — the same code path application registration deploys
+through — so it merges once per distinct applicable-statement list, not
+once per OBI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.graph import canonical_graph_digest
-from repro.protocol.errors import ErrorCode, ProtocolError
-from repro.transport.base import ChannelClosed
+from repro.controller.sweep import FleetSweep, SweepReport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controller.obc import OpenBoxController
-
-
-@dataclass
-class ReconcileReport:
-    """What one anti-entropy round found and did."""
-
-    at: float
-    #: Every OBI examined this round.
-    checked: list[str] = field(default_factory=list)
-    #: Reported digest already matched intent, bookkeeping current.
-    converged: list[str] = field(default_factory=list)
-    #: Matched intent but controller bookkeeping lagged (post-recovery):
-    #: adopted without a push.
-    adopted: list[str] = field(default_factory=list)
-    #: Mismatched: intended graph re-pushed.
-    pushed: list[str] = field(default_factory=list)
-    #: (obi_id, reason) for OBIs that could not be converged this round.
-    failed: list[tuple[str, str]] = field(default_factory=list)
-    #: True when a push was fenced off by a newer controller generation.
-    superseded: bool = False
-
-    @property
-    def all_converged(self) -> bool:
-        return not self.pushed and not self.failed and not self.superseded
 
 
 class AntiEntropyLoop:
@@ -72,80 +50,19 @@ class AntiEntropyLoop:
 
     def __init__(self, controller: "OpenBoxController") -> None:
         self.controller = controller
-        self.reports: list[ReconcileReport] = []
+        self.reports: list[SweepReport] = []
 
-    # ------------------------------------------------------------------
-    def _intended_digest(self, obi_id: str) -> str | None:
-        """Digest of the graph that should run on ``obi_id`` (None: no
-        applicable applications — nothing to reconcile)."""
-        result = self.controller.compute_deployment(obi_id)
-        if result is None:
-            return None
-        return canonical_graph_digest(result.graph.to_dict())
-
-    def reconcile(self) -> ReconcileReport:
-        """One anti-entropy round over every connected OBI."""
-        report = ReconcileReport(at=self.controller.clock())
-        if self.controller.superseded:
-            report.superseded = True
-            self.reports.append(report)
-            return report
-        for obi_id, handle in list(self.controller.obis.items()):
-            report.checked.append(obi_id)
-            if handle.reported_generation > self.controller.generation:
-                # The OBI has already heard from a newer controller — we
-                # are a fenced-out ghost. Stop the round *before* any
-                # adopt or push: a ghost must not absorb a successor's
-                # digests into its journal, let alone overwrite them.
-                self.controller.superseded = True
-                report.superseded = True
-                report.failed.append(
-                    (obi_id, f"reports generation {handle.reported_generation} "
-                             f"> ours ({self.controller.generation})")
-                )
-                break
-            try:
-                intended = self._intended_digest(obi_id)
-            except ProtocolError as exc:
-                report.failed.append((obi_id, str(exc)))
-                continue
-            if intended is None:
-                report.converged.append(obi_id)
-                continue
-            if handle.reported_digest == intended:
-                if handle.intended_digest == intended and handle.deployed is not None:
-                    report.converged.append(obi_id)
-                    continue
-                # Reality is right, bookkeeping is behind: adopt.
-                try:
-                    self.controller.reconcile_obi(obi_id)
-                except (ChannelClosed, ProtocolError) as exc:
-                    report.failed.append((obi_id, str(exc)))
-                    continue
-                report.adopted.append(obi_id)
-                continue
-            if handle.channel is None:
-                report.failed.append((obi_id, "no channel"))
-                continue
-            try:
-                self.controller.deploy(obi_id)
-            except ProtocolError as exc:
-                if exc.code == ErrorCode.STALE_GENERATION:
-                    report.superseded = True
-                    report.failed.append((obi_id, str(exc)))
-                    break
-                report.failed.append((obi_id, str(exc)))
-                continue
-            except ChannelClosed as exc:
-                report.failed.append((obi_id, str(exc)))
-                continue
-            report.pushed.append(obi_id)
+    def reconcile(self) -> SweepReport:
+        """One anti-entropy round: a sweep over every known OBI."""
+        report = FleetSweep(self.controller).run(
+            list(self.controller.obis.values())
+        )
         self.reports.append(report)
         return report
 
-    def run_until_converged(self, max_rounds: int = 10) -> list[ReconcileReport]:
+    def run_until_converged(self, max_rounds: int = 10) -> list[SweepReport]:
         """Reconcile until a round changes nothing (or rounds run out)."""
-        rounds: list[ReconcileReport] = []
+        rounds: list[SweepReport] = []
         for _ in range(max_rounds):
             report = self.reconcile()
             rounds.append(report)
@@ -155,11 +72,9 @@ class AntiEntropyLoop:
 
     def converged(self) -> bool:
         """True when every connected OBI reports its intended digest."""
-        for obi_id, handle in self.controller.obis.items():
-            try:
-                intended = self._intended_digest(obi_id)
-            except ProtocolError:
-                return False
-            if intended is not None and handle.reported_digest != intended:
+        sweep = FleetSweep(self.controller)
+        for handle in self.controller.obis.values():
+            intent = sweep.intended(handle)
+            if intent is not None and handle.reported_digest != intent.digest:
                 return False
         return True

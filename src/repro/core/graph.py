@@ -33,7 +33,10 @@ def canonical_graph_digest(graph_dict: dict[str, Any]) -> str:
     from a journal reproducing its predecessor's intent — emit equal
     structures under different labels. The digest must call those
     *converged*, or anti-entropy would re-push (and the data plane
-    would churn) after every controller restart.
+    would churn) after every controller restart. For the same reason the
+    ``origin_block`` of an ownerless block is left out: a block without
+    an ``origin_app`` was synthesized by the merge, and what it records
+    as its origin is the gensym name it was born with.
     """
     rename: dict[str, str] = {}
     blocks = []
@@ -42,6 +45,8 @@ def canonical_graph_digest(graph_dict: dict[str, Any]) -> str:
         name = canonical.get("name")
         if isinstance(name, str):
             rename[name] = canonical["name"] = f"b{index}"
+        if "origin_app" not in canonical:
+            canonical.pop("origin_block", None)
         blocks.append(canonical)
     connectors = []
     for connector in graph_dict.get("connectors", []):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controller.aggregator import GraphAggregator
+from repro.controller.aggregator import GraphAggregator, SweepApplications
 from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.segments import SegmentHierarchy
 from tests.conftest import build_firewall_graph, build_ips_graph
@@ -13,6 +13,15 @@ def _app(name, graph, segment="", priority=100, mergeable=True, obi_id=None):
         name, lambda: [AppStatement(graph=graph, segment=segment, obi_id=obi_id)],
         priority=priority, mergeable=mergeable,
     )
+
+
+def _selected(aggregator, apps, obi_id, segment):
+    """Names of the applications whose statements apply, in chain order."""
+    swept = SweepApplications(apps)
+    return [
+        swept.statements[index][0].name
+        for index in swept.applicable(obi_id, segment, aggregator.hierarchy)
+    ]
 
 
 @pytest.fixture
@@ -30,31 +39,30 @@ class TestSelection:
             _app("sales-fw", build_firewall_graph("salesfw"), segment="corp/sales"),
             _app("corp-ips", build_ips_graph("corpips"), segment="corp"),
         ]
-        selected = aggregator.applicable_graphs(apps, "obi-1", "corp/eng")
-        assert [app.name for app, _g in selected] == ["corp-ips", "eng-fw"]
+        assert _selected(aggregator, apps, "obi-1", "corp/eng") == [
+            "corp-ips", "eng-fw"
+        ]
 
     def test_obi_pinning(self, aggregator):
         apps = [
             _app("pinned", build_firewall_graph("p"), obi_id="obi-7"),
         ]
-        assert aggregator.applicable_graphs(apps, "obi-7", "anywhere")
-        assert not aggregator.applicable_graphs(apps, "obi-8", "anywhere")
+        assert _selected(aggregator, apps, "obi-7", "anywhere")
+        assert not _selected(aggregator, apps, "obi-8", "anywhere")
 
     def test_priority_orders_chain(self, aggregator):
         apps = [
             _app("second", build_ips_graph("i"), priority=20),
             _app("first", build_firewall_graph("f"), priority=10),
         ]
-        selected = aggregator.applicable_graphs(apps, "o", "corp")
-        assert [app.name for app, _g in selected] == ["first", "second"]
+        assert _selected(aggregator, apps, "o", "corp") == ["first", "second"]
 
     def test_priority_tie_breaks_by_name(self, aggregator):
         apps = [
             _app("zeta", build_firewall_graph("z"), priority=10),
             _app("alpha", build_firewall_graph("a"), priority=10),
         ]
-        selected = aggregator.applicable_graphs(apps, "o", "")
-        assert [app.name for app, _g in selected] == ["alpha", "zeta"]
+        assert _selected(aggregator, apps, "o", "") == ["alpha", "zeta"]
 
 
 class TestAggregation:

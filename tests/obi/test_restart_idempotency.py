@@ -152,6 +152,22 @@ class TestDigestEquivalence:
         # identically, or anti-entropy would churn the data plane.
         assert canonical_graph_digest(graph) == canonical_graph_digest(renamed)
 
+    def test_digest_ignores_the_gensym_origin_of_a_synthesized_block(self):
+        # A block the merge synthesized (no origin_app) records the
+        # gensym name it was born with as its origin_block; an owned
+        # block's origin_block is the application's own name for it.
+        def graph(synthesized_origin, owned_origin):
+            data = build_firewall_graph().to_dict()
+            assert "origin_app" not in data["blocks"][2]
+            data["blocks"][2]["origin_block"] = synthesized_origin
+            data["blocks"][3]["origin_block"] = owned_origin
+            return data
+
+        assert canonical_graph_digest(graph("discard_17", "fw_alert")) == \
+            canonical_graph_digest(graph("discard_99", "fw_alert"))
+        assert canonical_graph_digest(graph("discard_17", "fw_alert")) != \
+            canonical_graph_digest(graph("discard_17", "fw_other"))
+
     def test_digest_sees_config_changes(self):
         graph = build_firewall_graph().to_dict()
         changed = build_firewall_graph().to_dict()
