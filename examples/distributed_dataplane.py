@@ -12,9 +12,8 @@ Run:  python3 examples/distributed_dataplane.py
 from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.firewall import FirewallApp, parse_firewall_rules
 from repro.apps.ips import IpsApp, parse_snort_rules
-from repro.controller.split import split_at_classifier
+from repro.controller.split import deploy_split
 from repro.net.builder import make_tcp_packet
-from repro.protocol.messages import SetProcessingGraphRequest
 from repro.sim.network import SimNetwork
 
 FIREWALL_RULES = """
@@ -47,15 +46,11 @@ def main() -> None:
     # Merge both applications, then split at the header classifier: the
     # first half runs on the TCAM, the second half on software replicas.
     merged = controller.compute_deployment("hw-obi").graph
-    classifier = next(b.name for b in merged.blocks.values()
-                      if b.type == "HeaderClassifier")
-    split = split_at_classifier(merged, classifier, spi=7, trunk_device="sfc0")
+    split = deploy_split(controller, "hw-obi",
+                         [obi.config.obi_id for obi in replicas],
+                         spi=7, trunk_device="sfc0")
     print(f"merged graph: {len(merged.blocks)} blocks; split into "
           f"{len(split.first.blocks)} (classify) + {len(split.second.blocks)} (process)")
-
-    hw_obi.handle_message(SetProcessingGraphRequest(graph=split.first.to_dict()))
-    for obi in replicas:
-        obi.handle_message(SetProcessingGraphRequest(graph=split.second.to_dict()))
 
     # Wire the Figure 5 topology: A -> hw OBI -> mux -> sw OBIs -> B.
     host_b = network.add_host("B")

@@ -75,8 +75,10 @@ def make_obi(statedir, obi_id, clock):
     )
 
 
-def deploy(obi):
-    obi.handle_message(SetProcessingGraphRequest(graph=FIREWALL_GRAPH))
+def deploy(obi, epoch=0):
+    # ``epoch``: the generation of the controller the OBI has obeyed, if
+    # any — an OBI refuses requests stamped below it.
+    obi.handle_message(SetProcessingGraphRequest(graph=FIREWALL_GRAPH, epoch=epoch))
 
 
 def establish(obi, sport):
@@ -147,7 +149,7 @@ def main() -> None:
     survivor = make_obi(statedir, "obi-2", clock)
     connect_inproc(controller, reborn)
     connect_inproc(controller, survivor)
-    deploy(survivor)
+    deploy(survivor, epoch=controller.generation)
     migrator = StateMigrator(controller)
     checkpoint = migrator.export_checkpoint("obi-1")
     outcome = migrator.handoff("obi-1", "obi-2",

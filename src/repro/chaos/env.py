@@ -36,11 +36,13 @@ from repro.chaos.storage import FaultyStorage, StoragePlan
 from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.journal import StateJournal
 from repro.controller.lease import InProcLeaseStore, LeaseManager
+from repro.controller.migration import StateMigrator
 from repro.controller.obc import OpenBoxController
 from repro.controller.orchestrator import OrchestrationLoop, TickReport
 from repro.controller.reconcile import AntiEntropyLoop
 from repro.controller.replication import ReplicationHub, StandbyController
 from repro.controller.scaling import ScalingManager, ScalingPolicy
+from repro.controller.split import deploy_split
 from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet
@@ -410,22 +412,57 @@ class ChaosEnv:
         return promoted
 
     def ghost_deploy(self) -> int:
-        """The deposed leader ignores its demotion and pushes anyway.
+        """The deposed leader ignores its demotion and acts anyway.
 
-        Returns (and accumulates) the number of pushes that were
-        *accepted* — the split-brain invariant demands zero once a
-        successor exists.
+        Per OBI it sends every kind of request a controller has: a graph
+        push, a handle write, a handoff of its stale checkpoint of the
+        next OBI, a stats poll, a telemetry subscribe and a split deploy.
+        Returns (and accumulates) how many requests the OBIs *served* —
+        counted there, since under an ``rx`` partition the ghost never
+        sees the answer to a request that was applied. The split-brain
+        invariant demands zero once a successor exists.
         """
-        accepts = 0
-        for obi_id in self.obi_ids:
-            try:
-                self.leader.deploy(obi_id)
-                if self.promoted is not None:
-                    accepts += 1
-            except Exception:  # noqa: BLE001 - timeout/stale/closed all fine
-                pass
+        ghost = self.leader
+        migrator = StateMigrator(ghost)
+        served = [o.metrics.histogram("obi_dispatch_seconds") for o in self.obis.values()]
+        before = sum(histogram.count for histogram in served)
+        for index, obi_id in enumerate(self.obi_ids):
+            peer = self.obi_ids[(index + 1) % len(self.obi_ids)]
+            stale = self.loop.snapshots.get(peer, {"generation": 0, "entries": []})
+            for act in (
+                lambda: ghost.deploy(obi_id),
+                lambda: self._ghost_write(obi_id),
+                lambda: migrator.handoff(
+                    peer, obi_id, stale["generation"], stale["entries"]
+                ),
+                lambda: ghost.poll_stats(obi_id),
+                lambda: ghost.subscribe_telemetry(obi_id),
+                lambda: deploy_split(
+                    ghost, obi_id, [o for o in self.obi_ids if o != obi_id]
+                ),
+            ):
+                try:
+                    act()
+                except Exception:  # noqa: BLE001 - timeout/stale/closed all fine
+                    pass
+        accepts = sum(histogram.count for histogram in served) - before
+        if self.promoted is None:
+            accepts = 0  # the legitimate leader, not yet deposed
         self.split_brain_accepts += accepts
         return accepts
+
+    def _ghost_write(self, obi_id: str) -> None:
+        """``reset_counts`` on the first application block the deposed
+        leader believes it deployed on ``obi_id``."""
+        ghost = self.leader
+        block = next(
+            block for block in ghost.obis[obi_id].deployed.graph.blocks.values()
+            if block.origin_app in ghost.applications
+        )
+        ghost.app_write(
+            ghost.applications[block.origin_app], obi_id,
+            block.origin_block, "reset_counts", None,
+        )
 
     def converge(self) -> bool:
         """Run anti-entropy on the active controller until converged."""

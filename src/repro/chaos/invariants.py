@@ -68,7 +68,7 @@ class InvariantViolation:
 def _check_split_brain(env: "ChaosEnv") -> str | None:
     if env.split_brain_accepts:
         return (
-            f"{env.split_brain_accepts} push(es) from the deposed leader "
+            f"{env.split_brain_accepts} request(s) from the deposed leader "
             "were accepted after a successor took over"
         )
     return None
@@ -146,7 +146,7 @@ def _check_journal_replay(env: "ChaosEnv") -> str | None:
 DEFAULT_INVARIANTS: tuple[Invariant, ...] = (
     Invariant(
         name="split_brain_accepts",
-        description="no deposed leader's push is ever accepted",
+        description="no deposed leader's request is ever accepted",
         check=_check_split_brain,
     ),
     Invariant(

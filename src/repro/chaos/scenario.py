@@ -26,7 +26,8 @@ Operations (``step(op, **args)``):
 ``lease_partition`` / ``lease_heal``  cut ``owner`` off the lease store
 ``clock_jump`` / ``clock_skew`` / ``clock_reset``  a ``clock:*`` point
 ``fail_over``           standby lease + takeover + OBI re-homing
-``ghost_deploy``        the deposed leader pushes anyway (must be fenced)
+``ghost_deploy``        the deposed leader sends every request kind anyway
+                        (each must be fenced)
 ``converge``            anti-entropy until converged on the active leader
 ``heal_all``            lift every standing fault
 ======================  =================================================

@@ -15,7 +15,7 @@ merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Any, Iterable
 
@@ -38,6 +38,25 @@ def _stamp_ownership(graph: ProcessingGraph, app_name: str) -> ProcessingGraph:
         if block.origin_app is None:
             block.origin_app = app_name
     return stamped
+
+
+def _named_by_position(graph: ProcessingGraph) -> ProcessingGraph:
+    """``graph`` with every block renamed ``<type>_<index>`` by position.
+
+    Merging draws names from a process-global gensym counter, so intent
+    re-derived elsewhere (a recovered or promoted controller that adopts
+    the running graph) would name blocks the OBI does not run. Equal
+    intent must mean equal names, as it already means equal digests;
+    origins are kept — they are how handle requests find blocks.
+    """
+    named = ProcessingGraph(graph.name)
+    names = {name: f"{block.type.lower()}_{index}"
+             for index, (name, block) in enumerate(graph.blocks.items())}
+    named.add_blocks(replace(block, name=names[block.name])
+                     for block in graph.blocks.values())
+    for connector in graph.connectors:
+        named.connect(names[connector.src], names[connector.dst], connector.src_port)
+    return named
 
 
 @dataclass(eq=False)
@@ -186,7 +205,7 @@ class GraphAggregator:
             optimize_graph(final)
         final.validate()
         return AggregationResult(
-            graph=final,
+            graph=_named_by_position(final),
             app_names=[app.name for app, _statement in selected],
             merge_results=merge_results,
         )

@@ -8,9 +8,9 @@ a pluggable store — plus a monotonic **epoch** minted by the store on
 every change of ownership.
 
 The epoch is the fencing token. For lease-managed controllers it *is*
-the controller generation that rides on every southbound message
-(``controller_generation``) and on the replication stream
-(``JournalStream.epoch``): OBIs and standby replicas reject anything
+the controller generation that rides on the envelope of every
+southbound and replication message (``Message.epoch``): OBIs and
+standby replicas reject anything
 stamped with an epoch below the highest they have witnessed, so a
 deposed leader — even one that never noticed losing its lease — can
 never have a write accepted anywhere that matters.

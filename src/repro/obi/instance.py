@@ -19,7 +19,7 @@ import operator
 import threading
 import time
 from dataclasses import dataclass, field as dataclasses_field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 from repro.core.graph import (
     GraphValidationError,
@@ -50,6 +50,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import PacketTracer
 from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK
 from repro.protocol.codec import PROTOCOL_VERSION
+from repro.protocol.dispatch import Handlers, ResponseCache, serve
 from repro.transport.base import ChannelClosed
 from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import (
@@ -318,11 +319,7 @@ class OpenBoxInstance:
         #: cache instead of being re-applied — the receiver half of the
         #: transport's idempotent-retry contract (PROTOCOL.md §6).
         self.duplicate_requests = 0
-        self._response_cache: collections.OrderedDict[int, Message | None] = (
-            collections.OrderedDict()
-        )
-        self._response_cache_limit = 256
-        self._dedup_lock = threading.Lock()
+        self._responses = ResponseCache(256)
         #: Serializes engine swaps against packet processing and handle
         #: access: the REST endpoint is multi-threaded, so a
         #: SetProcessingGraph must never tear the engine out from under
@@ -426,7 +423,7 @@ class OpenBoxInstance:
             callback_url=callback_url,
             graph_version=self.graph_version,
             graph_digest=self.graph_digest,
-            controller_generation=self.highest_controller_generation,
+            epoch=self.highest_controller_generation,
         )
 
     def connect(self, channel: Any, callback_url: str = "") -> Message:
@@ -456,8 +453,7 @@ class OpenBoxInstance:
     def _absorb_hello_response(self, response: Message | None) -> None:
         if isinstance(response, HelloResponse) and response.ok:
             self.highest_controller_generation = max(
-                self.highest_controller_generation,
-                response.controller_generation,
+                self.highest_controller_generation, response.epoch
             )
             self.note_controller_heard()
 
@@ -490,10 +486,7 @@ class OpenBoxInstance:
                 continue
             if not (isinstance(response, HelloResponse) and response.ok):
                 continue
-            if (
-                response.controller_generation
-                < self.highest_controller_generation
-            ):
+            if response.epoch < self.highest_controller_generation:
                 self.rehome_stale_skipped += 1
                 continue
             self.attach_channel(channel)
@@ -524,7 +517,7 @@ class OpenBoxInstance:
                 obi_id=self.config.obi_id,
                 graph_version=self.graph_version,
                 graph_digest=self.graph_digest,
-                controller_generation=self.highest_controller_generation,
+                epoch=self.highest_controller_generation,
             ))
 
     # ------------------------------------------------------------------
@@ -841,127 +834,53 @@ class OpenBoxInstance:
     # Downstream message handling
     # ------------------------------------------------------------------
     def handle_message(self, message: Message) -> Message | None:
-        """Protocol dispatch for messages arriving from the controller.
+        """Protocol entry point for messages arriving from the controller.
 
-        Requests are deduplicated by ``xid``: a retransmit of a request
-        already applied (its response was lost in transit) replays the
-        cached response instead of applying the request twice, which is
-        what makes the controller's blind retry idempotent.
-
-        The split-brain guard runs *before* dedup: a request stamped
-        with a controller generation older than one already obeyed is
-        rejected outright (and never cached — its xids belong to a
-        different controller's number space). Lease epochs (§12) ride
-        the same fence: for lease-managed controllers the epoch *is*
-        the generation, so HA messages stamped ``epoch`` are judged by
-        the one monotonic token this OBI tracks.
+        The split-brain guard runs first: a request stamped below the
+        highest controller generation this OBI has obeyed — unstamped
+        included — is a deposed controller's, rejected and never cached
+        (its xids belong to another number space). Then xid dedup (a
+        retransmit replays the cached answer: the controller's blind
+        retry is idempotent), then :data:`HANDLERS`.
         """
-        incoming_generation = int(
-            getattr(message, "controller_generation", 0)
-            or getattr(message, "epoch", 0)
-            or 0
-        )
-        if incoming_generation:
-            if incoming_generation < self.highest_controller_generation:
-                self.stale_generation_rejections += 1
-                self._m_stale_rejected.inc()
-                return ErrorMessage(
-                    xid=message.xid,
-                    code=ErrorCode.STALE_GENERATION,
-                    detail=(
-                        f"generation {incoming_generation} is stale; this OBI "
-                        f"has obeyed generation "
-                        f"{self.highest_controller_generation}"
-                    ),
-                )
-            self.highest_controller_generation = incoming_generation
-        with self._dedup_lock:
-            if message.xid in self._response_cache:
-                self.duplicate_requests += 1
-                self._m_duplicates.inc()
-                return self._response_cache[message.xid]
-        started = self.clock()
-        try:
-            response = self._dispatch(message)
-        except ProtocolError as exc:
-            response = ErrorMessage(xid=message.xid, code=exc.code, detail=exc.detail)
-        except Exception as exc:  # noqa: BLE001 — dispatch must never unwind
-            # the transport: a handler bug (or a custom element's handle
-            # raising something exotic) becomes a protocol-level error
-            # response instead of killing the channel thread.
-            response = ErrorMessage(
+        if message.epoch < self.highest_controller_generation:
+            self.stale_generation_rejections += 1
+            self._m_stale_rejected.inc()
+            return ErrorMessage(
                 xid=message.xid,
-                code=ErrorCode.INTERNAL_ERROR,
-                detail=f"{type(exc).__name__}: {exc}",
+                code=ErrorCode.STALE_GENERATION,
+                detail=(
+                    f"generation {message.epoch} is stale; this OBI has "
+                    f"obeyed generation {self.highest_controller_generation}"
+                ),
             )
+        self.highest_controller_generation = message.epoch
+        cached = self._responses.get(message.xid)
+        if cached is not None:
+            self.duplicate_requests += 1
+            self._m_duplicates.inc()
+            return cached
+        started = self.clock()
+        response = serve(self, self.HANDLERS, message)
         self._m_dispatch.observe(self.clock() - started)
-        with self._dedup_lock:
-            self._response_cache[message.xid] = response
-            while len(self._response_cache) > self._response_cache_limit:
-                self._response_cache.popitem(last=False)
+        self._responses.put(message.xid, response)
         # Any authenticated downstream traffic is controller liveness
         # evidence; leaving headless replays the buffered events.
         self.note_controller_heard()
         return response
 
-    def _dispatch(self, message: Message) -> Message | None:
-        if isinstance(message, SetProcessingGraphRequest):
-            return self._set_graph(message)
-        if isinstance(message, GlobalStatsRequest):
-            return self._global_stats(message)
-        if isinstance(message, ReadRequest):
-            return self._read(message)
-        if isinstance(message, WriteRequest):
-            return self._write(message)
-        if isinstance(message, AddCustomModuleRequest):
-            return self._add_module(message)
-        if isinstance(message, ListCapabilitiesRequest):
-            return ListCapabilitiesResponse(
-                xid=message.xid,
-                capabilities=self.factory.supported_types(),
-                supports_custom_modules=self.config.supports_custom_modules,
-            )
-        if isinstance(message, SetExternalServices):
-            self.config.keepalive_interval = message.keepalive_interval
-            return BarrierResponse(xid=message.xid)
-        if isinstance(message, LeaseAnnounce):
-            return self._lease_announce(message)
-        if isinstance(message, BarrierRequest):
-            return BarrierResponse(xid=message.xid)
-        if isinstance(message, PacketHistoryRequest):
-            return PacketHistoryResponse(
-                xid=message.xid, records=self.packet_history(message.limit)
-            )
-        if isinstance(message, ExportStateRequest):
-            return ExportStateResponse(
-                xid=message.xid,
-                state=self.session.export_entries(now=self.clock()),
-            )
-        if isinstance(message, ImportStateRequest):
-            report = self.session.import_entries_checked(
-                message.state, now=self.clock()
-            )
-            return ImportStateResponse(
-                xid=message.xid,
-                flows_imported=report.imported,
-                rejected=dict(report.rejected),
-            )
-        if isinstance(message, StateCheckpointRequest):
-            return StateCheckpointResponse(
-                xid=message.xid,
-                obi_id=self.config.obi_id,
-                state_generation=self.session.state_generation,
-                state=self.session.export_entries(now=self.clock()),
-            )
-        if isinstance(message, StateHandoffRequest):
-            return self._state_handoff(message)
-        if isinstance(message, TelemetrySubscribe):
-            return self._telemetry_subscribe(message)
-        if isinstance(message, TelemetryAck):
-            self.telemetry.handle_ack(message)
-            return BarrierResponse(xid=message.xid)
-        raise ProtocolError(
-            ErrorCode.UNKNOWN_MESSAGE, f"OBI cannot handle {message.TYPE}"
+    def _set_external_services(self, message: SetExternalServices) -> Message:
+        self.config.keepalive_interval = message.keepalive_interval
+        return BarrierResponse(xid=message.xid)
+
+    def _import_state(self, message: ImportStateRequest) -> Message:
+        report = self.session.import_entries_checked(
+            message.state, now=self.clock()
+        )
+        return ImportStateResponse(
+            xid=message.xid,
+            flows_imported=report.imported,
+            rejected=dict(report.rejected),
         )
 
     def _state_handoff(self, message: StateHandoffRequest) -> Message:
@@ -1181,10 +1100,7 @@ class OpenBoxInstance:
 
     def _telemetry_subscribe(self, message: TelemetrySubscribe) -> Message:
         """Open/refresh a subscription; the response is the first batch."""
-        epoch = (
-            message.controller_generation or self.highest_controller_generation
-        )
-        self.telemetry.subscribe(message, epoch=epoch)
+        self.telemetry.subscribe(message)
         self._telemetry_collect()
         stream = self.telemetry.build_stream(drain=message.drain)
         if stream is None:
@@ -1195,10 +1111,14 @@ class OpenBoxInstance:
                 obi_id=self.config.obi_id,
                 subscriber=message.subscriber,
                 through_seq=self.telemetry.ring.cursor(message.subscriber),
-                epoch=epoch,
+                epoch=message.epoch,
             )
         stream.xid = message.xid
         return stream
+
+    def _telemetry_ack(self, message: TelemetryAck) -> Message:
+        self.telemetry.handle_ack(message)
+        return BarrierResponse(xid=message.xid)
 
     def publish_telemetry(self) -> TelemetryAck | None:
         """Push one batch upstream; returns the consumer's ack (or None).
@@ -1316,6 +1236,40 @@ class OpenBoxInstance:
             ok=True,
             detail=f"registered {len(module.block_types)} block types",
         )
+
+    #: Every request an OBI serves: message class -> handler. The one
+    #: list — PROTOCOL.md's direction tables are held equal to it.
+    HANDLERS: ClassVar[Handlers] = {
+        SetProcessingGraphRequest: _set_graph,
+        GlobalStatsRequest: _global_stats,
+        ReadRequest: _read,
+        WriteRequest: _write,
+        AddCustomModuleRequest: _add_module,
+        ListCapabilitiesRequest: lambda obi, message: ListCapabilitiesResponse(
+            xid=message.xid,
+            capabilities=obi.factory.supported_types(),
+            supports_custom_modules=obi.config.supports_custom_modules,
+        ),
+        SetExternalServices: _set_external_services,
+        LeaseAnnounce: _lease_announce,
+        BarrierRequest: lambda obi, message: BarrierResponse(xid=message.xid),
+        PacketHistoryRequest: lambda obi, message: PacketHistoryResponse(
+            xid=message.xid, records=obi.packet_history(message.limit)
+        ),
+        ExportStateRequest: lambda obi, message: ExportStateResponse(
+            xid=message.xid, state=obi.session.export_entries(now=obi.clock())
+        ),
+        ImportStateRequest: _import_state,
+        StateCheckpointRequest: lambda obi, message: StateCheckpointResponse(
+            xid=message.xid,
+            obi_id=obi.config.obi_id,
+            state_generation=obi.session.state_generation,
+            state=obi.session.export_entries(now=obi.clock()),
+        ),
+        StateHandoffRequest: _state_handoff,
+        TelemetrySubscribe: _telemetry_subscribe,
+        TelemetryAck: _telemetry_ack,
+    }
 
     # ------------------------------------------------------------------
     # Load estimation (reported via GlobalStats, used for scaling)

@@ -8,10 +8,11 @@ from typing import Any
 from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import Message, message_class
 
-#: Protocol version implemented by this repo (the paper's spec is 1.1.0;
-#: minor bump 1.2.0 adds the crash-recovery handshake: controller
-#: generations, graph digests on Hello/KeepAlive, HelloResponse).
-PROTOCOL_VERSION = "1.2.0"
+#: Protocol version implemented by this repo (the paper's spec is 1.1.0).
+#: Major 2 moves the fence token onto the envelope (``Message.epoch``)
+#: and fences every request, so a 1.x peer — whose unstamped requests a
+#: 2.x OBI would refuse — is turned away at Hello instead.
+PROTOCOL_VERSION = "2.0.0"
 
 #: Versions this codec accepts (same major version).
 _ACCEPTED_MAJOR = PROTOCOL_VERSION.split(".")[0]

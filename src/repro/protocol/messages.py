@@ -67,11 +67,19 @@ def xid_watermark() -> int:
 
 @dataclass
 class Message:
-    """Base class: concrete messages declare ``TYPE`` and their fields."""
+    """Base class: concrete messages declare ``TYPE`` and their fields.
+
+    ``epoch`` is the envelope's fence token (PROTOCOL.md §10): the
+    controller generation the sender acts under — a controller stamps its
+    own, an OBI or standby the highest it has obeyed. Receivers refuse a
+    request below their high-water mark; 0 (unstamped) is below any
+    generation a controller ever holds.
+    """
 
     TYPE: ClassVar[str] = ""
 
     xid: int = field(default_factory=next_xid)
+    epoch: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {"type": self.TYPE}
@@ -131,12 +139,11 @@ class Hello(Message):
     callback_url: str = ""
     #: Recovery handshake (PROTOCOL.md §10): the version epoch and
     #: canonical digest of the graph the OBI is currently running (0/""
-    #: when nothing is deployed), and the highest controller generation
-    #: the OBI has witnessed — lets a recovered controller reconcile
-    #: without blind re-pushes, and lets the OBI detect stale peers.
+    #: when nothing is deployed) — lets a recovered controller reconcile
+    #: without blind re-pushes. ``epoch`` carries the highest controller
+    #: generation the OBI has obeyed.
     graph_version: int = 0
     graph_digest: str = ""
-    controller_generation: int = 0
 
 
 @register_message
@@ -144,16 +151,15 @@ class Hello(Message):
 class HelloResponse(Message):
     """OBC → OBI: acknowledges a Hello (PROTOCOL.md §10).
 
-    Carries the controller's current generation so the OBI can arm its
-    split-brain guard (messages stamped with a lower generation are
-    rejected as ``stale_generation``).
+    Its ``epoch`` is the controller's current generation, which arms the
+    OBI's split-brain guard (requests stamped lower are rejected as
+    ``stale_generation``).
     """
 
     TYPE: ClassVar[str] = "HelloResponse"
 
     ok: bool = True
     detail: str = ""
-    controller_generation: int = 0
     keepalive_interval: float = 10.0
 
 
@@ -163,10 +169,10 @@ class KeepAlive(Message):
     """OBI → OBC: periodic liveness beacon (interval set by the OBC).
 
     Doubles as the anti-entropy report: each beacon restates what the
-    OBI is running (version epoch + canonical graph digest) and the
-    highest controller generation it has seen, so the controller's
-    reconciliation loop can compare intended vs. reported state without
-    an extra round trip.
+    OBI is running (version epoch + canonical graph digest) and, in
+    ``epoch``, the highest controller generation it has obeyed, so the
+    controller's reconciliation loop can compare intended vs. reported
+    state without an extra round trip.
     """
 
     TYPE: ClassVar[str] = "KeepAlive"
@@ -174,7 +180,6 @@ class KeepAlive(Message):
     obi_id: str = ""
     graph_version: int = 0
     graph_digest: str = ""
-    controller_generation: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +238,6 @@ class SetProcessingGraphRequest(Message):
     TYPE: ClassVar[str] = "SetProcessingGraphRequest"
 
     graph: dict[str, Any] = field(default_factory=dict)
-    #: Split-brain guard (PROTOCOL.md §10): the sending controller's
-    #: generation. 0 means "unversioned" (legacy senders) and is always
-    #: accepted; otherwise an OBI rejects generations older than the
-    #: highest it has seen with ``stale_generation``.
-    controller_generation: int = 0
     #: Canonical digest of ``graph`` as the controller computed it; the
     #: OBI recomputes and refuses on mismatch (wire-corruption guard).
     graph_digest: str = ""
@@ -612,19 +612,17 @@ class StateHandoffResponse(Message):
 class LeaseAnnounce(Message):
     """Leader → standby/OBI: "I hold the leadership lease".
 
-    ``epoch`` is the lease epoch, which **is** the controller
-    generation for lease-managed controllers — one monotonic fencing
-    token for both replication and the data plane. ``endpoints`` is the
-    ordered list of controller endpoints an OBI should try when
-    re-homing after leader loss (the announcing leader first).
-    Receivers fence: an announce with an epoch below the highest
-    witnessed is answered ``stale_generation``.
+    The envelope ``epoch`` is the lease epoch, which **is** the
+    controller generation for lease-managed controllers — one monotonic
+    fencing token for both replication and the data plane.
+    ``endpoints`` is the ordered list of controller endpoints an OBI
+    should try when re-homing after leader loss (the announcing leader
+    first).
     """
 
     TYPE: ClassVar[str] = "LeaseAnnounce"
 
     leader_id: str = ""
-    epoch: int = 0
     #: Seconds of lease validity remaining at send time (advisory: lets
     #: a standby size its takeover patience without a shared clock).
     lease_remaining: float = 0.0
@@ -640,16 +638,13 @@ class JournalStream(Message):
     ``snapshot`` True means the batch replaces the replica's journal
     wholesale — sent when the replica's cursor predates a compaction
     (its segment no longer exists) or on first contact. The replica
-    fences on ``epoch`` exactly like an OBI fences deploys: a stream
-    from a lower epoch than the highest witnessed is rejected
-    ``stale_generation`` (a deposed leader must not overwrite the
-    replica that may be about to succeed it).
+    fences on ``epoch`` exactly like an OBI does (a deposed leader must
+    not overwrite the replica that may be about to succeed it).
     """
 
     TYPE: ClassVar[str] = "JournalStream"
 
     leader_id: str = ""
-    epoch: int = 0
     snapshot: bool = False
     #: Position after applying ``records`` (segment = the leader
     #: journal's compaction incarnation, offset = record count).
@@ -673,7 +668,6 @@ class ReplicaAck(Message):
     TYPE: ClassVar[str] = "ReplicaAck"
 
     replica_id: str = ""
-    epoch: int = 0
     segment: int = 0
     offset: int = 0
 
@@ -715,9 +709,9 @@ class TelemetrySubscribe(Message):
     The OBI registers (or resumes) the named subscriber cursor on its
     telemetry ring and answers with a :class:`TelemetryStream` — the
     first batch, starting with a baseline record for a brand-new or
-    gap-afflicted cursor. ``controller_generation`` rides the standard
-    split-brain fence (§10): a subscribe from a deposed controller is
-    rejected ``stale_generation`` before it can redirect the stream.
+    gap-afflicted cursor. Like every request it rides the §10 fence: a
+    subscribe from a deposed controller is rejected ``stale_generation``
+    before it can redirect the stream.
     """
 
     TYPE: ClassVar[str] = "TelemetrySubscribe"
@@ -734,7 +728,6 @@ class TelemetrySubscribe(Message):
     #: One-shot drain: ignore ``window`` and return everything pending
     #: (``telemetry_snapshot()`` uses this).
     drain: bool = False
-    controller_generation: int = 0
 
 
 @register_message
@@ -767,7 +760,6 @@ class TelemetryStream(Message):
     #: last record's seq when topic-filtered records were skipped; the
     #: consumer acks ``through_seq`` so filtered history is not replayed.
     through_seq: int = 0
-    epoch: int = 0
 
 
 @register_message

@@ -66,14 +66,15 @@ class TelemetryPublisher:
     # ------------------------------------------------------------------
     # Subscription lifecycle
     # ------------------------------------------------------------------
-    def subscribe(self, message: TelemetrySubscribe, epoch: int = 0) -> None:
-        """Register (or refresh) the consumer named in ``message``."""
+    def subscribe(self, message: TelemetrySubscribe) -> None:
+        """Register (or refresh) the consumer named in ``message``, under
+        the epoch it was sent with (stamped on every batch)."""
         topics = frozenset(message.topics) if message.topics else frozenset(ALL_TOPICS)
         self.subscription = {
             "subscriber": message.subscriber,
             "topics": topics,
             "window": max(1, message.window),
-            "epoch": epoch,
+            "epoch": message.epoch,
         }
         cursor = None if message.cursor < 0 else message.cursor
         self.ring.register(message.subscriber, cursor)

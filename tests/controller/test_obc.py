@@ -8,7 +8,7 @@ from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.codec import PROTOCOL_VERSION
-from repro.protocol.errors import ProtocolError
+from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.observability.metrics import default_registry
 from repro.protocol.messages import (
     Alert,
@@ -43,8 +43,12 @@ class TestLifecycle:
         assert controller.segments.exists("corp")
 
     def test_version_mismatch_rejected(self, controller):
-        response = controller.handle_message(Hello(obi_id="x", version="9.0.0"))
-        assert isinstance(response, ErrorMessage)
+        # A 1.x peer predates the envelope epoch: refused at Hello rather
+        # than having every request it sends fenced.
+        for version in ("9.0.0", "1.2.0"):
+            response = controller.handle_message(Hello(obi_id="x", version=version))
+            assert isinstance(response, ErrorMessage)
+            assert response.code == ErrorCode.UNSUPPORTED_VERSION
 
     def test_keepalive_tracked(self, controller):
         _connect(controller)

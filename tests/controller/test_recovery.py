@@ -134,6 +134,27 @@ class TestReHello:
         # The OBI learned and obeys the new fencing generation.
         assert obi.highest_controller_generation == recovered.generation
 
+    def test_handles_reach_the_adopted_graph(self, tmp_path):
+        # The recovered controller re-derives intent in a process whose
+        # block gensym counter has moved on; the names it addresses must
+        # still be the names the OBI runs.
+        controller, path = journaled_controller(tmp_path)
+        controller.register_application(_fw_app())
+        obi = OpenBoxInstance(ObiConfig(obi_id="obi-1", segment="corp"))
+        pair = connect_inproc(controller, obi)
+        version = obi.graph_version
+
+        recovered = OpenBoxController.recover(path, applications=[_fw_app()])
+        reconnect_inproc(recovered, obi, pair)
+        assert obi.graph_version == version  # adopted, no push
+
+        app = recovered.applications["fw"]
+        read = recovered.app_read(app, "obi-1", "fw_hc", "match_counts")
+        assert read.ok, read.errors
+        written = recovered.app_write(app, "obi-1", "fw_alert", "reset_counts", None)
+        assert written.ok, written.errors
+        assert obi.graph_version == version
+
     def test_recovery_survives_a_second_crash(self, tmp_path):
         controller, path = journaled_controller(tmp_path)
         controller.register_application(_fw_app())

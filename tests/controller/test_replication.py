@@ -3,7 +3,7 @@ takeover (PROTOCOL.md §12)."""
 
 import pytest
 
-from repro.bootstrap import connect_inproc
+from repro.bootstrap import connect_inproc, reconnect_inproc
 from repro.controller.journal import JournalCursor, StateJournal
 from repro.controller.lease import InProcLeaseStore, LeaseManager
 from repro.controller.obc import OpenBoxController
@@ -244,6 +244,22 @@ class TestTakeover:
         # The epoch is already durable: a re-replay sees it.
         assert StateJournal.replay(standby.path).state.generation == \
             promoted.generation
+
+    def test_handles_reach_the_adopted_graph_after_takeover(self, tmp_path):
+        leader, obi, pair, standby, clock = self._replicated_standby(tmp_path)
+        version = obi.graph_version
+        store = InProcLeaseStore()
+        lease = store.acquire("r1", ttl=10.0, now=0.0)
+        promoted = standby.take_over(lease, applications=[_fw_app()])
+        reconnect_inproc(promoted, obi, pair)
+        assert obi.graph_version == version  # adopted, no push
+
+        app = promoted.applications["fw"]
+        read = promoted.app_read(app, "obi-1", "fw_hc", "match_counts")
+        assert read.ok, read.errors
+        written = promoted.app_write(app, "obi-1", "fw_alert", "reset_counts", None)
+        assert written.ok, written.errors
+        assert obi.graph_version == version
 
     def test_takeover_with_stale_epoch_refused(self, tmp_path):
         _, _, _, standby, _ = self._replicated_standby(tmp_path)

@@ -335,15 +335,19 @@ class TestAntiEntropyVsRecoverRace:
         AntiEntropyLoop(promoted).run_until_converged()
 
         ghost = scenario.leader
-        # A late keepalive from the re-homed OBI raced into the ghost's
-        # handle state: reported digest now matches the ghost's own
-        # intent (same apps), and the reported generation betrays the
-        # successor. The fence must fire BEFORE the matching digest can
-        # be adopted into the ghost's journal.
-        handle = ghost.obis["obi-1"]
-        handle.reported_digest = scenario.obis["obi-1"].graph_digest
-        handle.reported_generation = promoted.generation
         journal_before = StateJournal.replay(ghost.journal.path).state
+        # A late keepalive from the re-homed OBI reaches the ghost: its
+        # digest matches the ghost's own intent (same apps), and its
+        # epoch betrays the successor. The fence must fire BEFORE the
+        # matching digest can be adopted into the ghost's journal.
+        from repro.protocol.messages import KeepAlive
+
+        obi = scenario.obis["obi-1"]
+        ghost.handle_message(KeepAlive(
+            obi_id="obi-1", graph_version=obi.graph_version,
+            graph_digest=obi.graph_digest, epoch=obi.highest_controller_generation,
+        ))
+        assert ghost.obis["obi-1"].reported_digest == obi.graph_digest
 
         report = AntiEntropyLoop(ghost).reconcile()
         assert report.superseded and ghost.superseded
@@ -361,7 +365,7 @@ class TestAntiEntropyVsRecoverRace:
         ghost = scenario.leader
         ghost.handle_message(KeepAlive(
             obi_id="obi-1",
-            controller_generation=promoted.generation,
+            epoch=promoted.generation,
         ))
         assert ghost.superseded
         report = AntiEntropyLoop(ghost).reconcile()

@@ -72,7 +72,9 @@ def build_world(period=3, threshold=4):
     graph.add_blocks([read, flaky, out])
     graph.connect(read, flaky)
     graph.connect(flaky, out)
-    obi.handle_message(SetProcessingGraphRequest(graph=graph.to_dict()))
+    obi.handle_message(SetProcessingGraphRequest(
+        graph=graph.to_dict(), epoch=controller.generation
+    ))
     return controller, obi, clock
 
 
@@ -130,9 +132,10 @@ class TestDataPlaneChaosScenario:
         for _ in range(10):
             obi.inject(packet())
             clock.advance(0.05)
-        response = obi.handle_message(
-            ReadRequest(block=OBI_PSEUDO_BLOCK, handle="poison_quarantine")
-        )
+        response = obi.handle_message(ReadRequest(
+            block=OBI_PSEUDO_BLOCK, handle="poison_quarantine",
+            epoch=controller.generation,
+        ))
         digests = response.value
         assert len(digests) == 3
         assert all(entry["block"] == "flaky" for entry in digests)

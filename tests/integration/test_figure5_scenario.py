@@ -52,9 +52,13 @@ def figure5():
                       if b.type == "HeaderClassifier")
     split = split_at_classifier(merged, classifier, spi=5, trunk_device="sfc0")
 
-    hw_obi.handle_message(SetProcessingGraphRequest(graph=split.first.to_dict()))
+    hw_obi.handle_message(SetProcessingGraphRequest(
+        graph=split.first.to_dict(), epoch=controller.generation
+    ))
     for obi in replicas:
-        obi.handle_message(SetProcessingGraphRequest(graph=split.second.to_dict()))
+        obi.handle_message(SetProcessingGraphRequest(
+            graph=split.second.to_dict(), epoch=controller.generation
+        ))
 
     host_b = network.add_host("B")
     network.add_obi("hw-obi", hw_obi)

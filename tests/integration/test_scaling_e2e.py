@@ -163,9 +163,9 @@ def _gated_obi(overload: OverloadPolicy):
         clock=clock,
     )
     connect_inproc(controller, obi)
-    obi.handle_message(
-        SetProcessingGraphRequest(graph=_degradable_graph().to_dict())
-    )
+    obi.handle_message(SetProcessingGraphRequest(
+        graph=_degradable_graph().to_dict(), epoch=controller.generation
+    ))
     return controller, obi, clock
 
 

@@ -49,9 +49,9 @@ def s2c(sport, flags, payload=b""):
                            flags=flags, payload=payload)
 
 
-def deploy_conntrack(obi):
+def deploy_conntrack(obi, epoch=0):
     response = obi.handle_message(SetProcessingGraphRequest(
-        graph=build_conntrack_graph().to_dict()
+        graph=build_conntrack_graph().to_dict(), epoch=epoch
     ))
     assert isinstance(response, SetProcessingGraphResponse) and response.ok
 
@@ -258,8 +258,8 @@ class TestControllerHandoffPath:
         target = make_obi(tmp_path, obi_id="target", clock=clock)
         connect_inproc(controller, source)
         connect_inproc(controller, target)
-        deploy_conntrack(source)
-        deploy_conntrack(target)
+        deploy_conntrack(source, epoch=controller.generation)
+        deploy_conntrack(target, epoch=controller.generation)
         establish(source, 4001)
 
         migrator = StateMigrator(controller)
@@ -291,8 +291,8 @@ class TestControllerHandoffPath:
         )
         connect_inproc(controller, source)
         connect_inproc(controller, target)
-        deploy_conntrack(source)
-        deploy_conntrack(target)
+        deploy_conntrack(source, epoch=controller.generation)
+        deploy_conntrack(target, epoch=controller.generation)
         establish(source, 5001)
         establish(source, 5002)
         # The target's one-entry table is already held by a protected

@@ -45,9 +45,9 @@ class TestCaptureTime:
         controller = OpenBoxController()
         obi = OpenBoxInstance(ObiConfig(obi_id="o"))
         connect_inproc(controller, obi)
-        response = obi.handle_message(
-            SetProcessingGraphRequest(graph=rewriting_graph().to_dict())
-        )
+        response = obi.handle_message(SetProcessingGraphRequest(
+            graph=rewriting_graph().to_dict(), epoch=controller.generation
+        ))
         assert response.ok
 
         packet = make_tcp_packet("10.0.0.1", "192.168.0.9", 5555, 80, b"hello")

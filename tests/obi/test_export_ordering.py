@@ -31,20 +31,20 @@ def connected(**config_kwargs):
         ObiConfig(obi_id="o1", segment="corp", **config_kwargs), clock=clock
     )
     connect_inproc(controller, obi)
-    deploy(obi)
+    deploy(controller, obi)
     return controller, obi
 
 
-def deploy(obi):
-    response = obi.handle_message(
-        SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
-    )
+def deploy(controller, obi):
+    response = obi.handle_message(SetProcessingGraphRequest(
+        graph=build_firewall_graph().to_dict(), epoch=controller.generation
+    ))
     assert not isinstance(response, ErrorMessage)
 
 
 class TestConcurrentExportExactness:
     def test_snapshots_racing_swaps_never_inflate_counters(self):
-        _, obi = connected()
+        controller, obi = connected()
         packets = 50
         for _ in range(packets):
             obi.process_packet(pass_packet())
@@ -64,7 +64,7 @@ class TestConcurrentExportExactness:
             try:
                 barrier.wait()
                 for _ in range(12):
-                    deploy(obi)
+                    deploy(controller, obi)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -83,25 +83,25 @@ class TestConcurrentExportExactness:
         assert final.metrics["counters"]["engine_packets_total"] == packets
 
     def test_swap_flushes_outgoing_engine_before_dropping_it(self):
-        _, obi = connected()
+        controller, obi = connected()
         for _ in range(7):
             obi.process_packet(pass_packet())
         # No snapshot/export between processing and the swap: the commit
         # itself must flush the outgoing engine's unexported delta.
-        deploy(obi)
+        deploy(controller, obi)
         snapshot = obi.observability_snapshot(include_traces=False)
         assert snapshot.metrics["counters"]["engine_packets_total"] == 7
 
 
 class TestSwapFlushesGaugeMirrors:
     def test_flow_cache_gauges_fresh_right_after_swap(self):
-        _, obi = connected()
+        controller, obi = connected()
         for _ in range(5):
             obi.process_packet(pass_packet())
         obi.observability_snapshot(include_traces=False)
         assert obi.metrics.gauge("fastpath_entries").value >= 1
 
-        deploy(obi)  # invalidates the flow cache
+        deploy(controller, obi)  # invalidates the flow cache
 
         # Without any snapshot in between, the registry mirrors already
         # reflect the post-invalidate cache — what a subscriber folding
@@ -129,7 +129,7 @@ class TestFoldMonotonicity:
         assert obi.publish_telemetry().ok
         sample()
 
-        deploy(obi)  # swap mid-stream
+        deploy(controller, obi)  # swap mid-stream
         assert obi.publish_telemetry() is not None
         sample()
 

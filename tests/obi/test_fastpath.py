@@ -44,10 +44,10 @@ def fw_packet(src="44.0.0.1", sport=9999, dport=12345):
     return make_tcp_packet(src, "192.168.0.9", sport, dport)
 
 
-def deploy(obi, graph=None):
-    response = obi.handle_message(
-        SetProcessingGraphRequest(graph=(graph or build_firewall_graph()).to_dict())
-    )
+def deploy(obi, graph=None, epoch=0):
+    response = obi.handle_message(SetProcessingGraphRequest(
+        graph=(graph or build_firewall_graph()).to_dict(), epoch=epoch
+    ))
     assert isinstance(response, SetProcessingGraphResponse) and response.ok
 
 
@@ -322,8 +322,8 @@ class TestInjectBatch:
         batched = OpenBoxInstance(ObiConfig(obi_id="batched"))
         connect_inproc(controller, single)
         connect_inproc(controller, batched)
-        deploy(single)
-        deploy(batched)
+        deploy(single, epoch=controller.generation)
+        deploy(batched, epoch=controller.generation)
         alerting = make_tcp_packet("44.0.0.1", "192.168.0.9", 5, 22).data
         for _ in range(3):
             single.inject(Packet(data=alerting))

@@ -49,9 +49,9 @@ def connected(clock, **config_kwargs):
         ObiConfig(obi_id="o1", segment="corp", **config_kwargs), clock=clock
     )
     connect_inproc(controller, obi)
-    response = obi.handle_message(
-        SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
-    )
+    response = obi.handle_message(SetProcessingGraphRequest(
+        graph=build_firewall_graph().to_dict(), epoch=controller.generation
+    ))
     assert not isinstance(response, ErrorMessage)
     return controller, obi
 
@@ -105,9 +105,11 @@ class TestHeadlessTransition:
 
     def test_downstream_traffic_is_liveness_evidence(self):
         clock = FakeClock()
-        _, obi = connected(clock, headless_after=30.0)
+        controller, obi = connected(clock, headless_after=30.0)
         clock.advance(29.0)
-        obi.handle_message(ReadRequest(block=OBI_PSEUDO_BLOCK, handle="degraded"))
+        obi.handle_message(ReadRequest(
+            block=OBI_PSEUDO_BLOCK, handle="degraded", epoch=controller.generation
+        ))
         clock.advance(29.0)
         assert not obi.is_headless()
 
@@ -215,15 +217,15 @@ class TestBufferingAndReplay:
 
     def test_headless_read_handles(self):
         clock = FakeClock()
-        _, obi = connected(clock, headless_after=30.0, headless_buffer=1)
+        controller, obi = connected(clock, headless_after=30.0, headless_buffer=1)
         clock.advance(31.0)
         obi.send_health_report()
         obi.send_health_report()
 
         def read(handle):
-            response = obi.handle_message(
-                ReadRequest(block=OBI_PSEUDO_BLOCK, handle=handle)
-            )
+            response = obi.handle_message(ReadRequest(
+                block=OBI_PSEUDO_BLOCK, handle=handle, epoch=controller.generation
+            ))
             assert not isinstance(response, ErrorMessage), handle
             return response.value
 
@@ -242,12 +244,12 @@ class TestGenerationGuard:
         _, obi = connected(clock)
         graph = build_firewall_graph().to_dict()
         accepted = obi.handle_message(
-            SetProcessingGraphRequest(graph=graph, controller_generation=5)
+            SetProcessingGraphRequest(graph=graph, epoch=5)
         )
         assert not isinstance(accepted, ErrorMessage)
         assert obi.highest_controller_generation == 5
 
-        stale = SetProcessingGraphRequest(graph=graph, controller_generation=3)
+        stale = SetProcessingGraphRequest(graph=graph, epoch=3)
         response = obi.handle_message(stale)
         assert isinstance(response, ErrorMessage)
         assert response.code == ErrorCode.STALE_GENERATION
@@ -257,20 +259,23 @@ class TestGenerationGuard:
         # controller is processed fresh, not answered with the stale
         # controller's error.
         retry = SetProcessingGraphRequest(
-            xid=stale.xid, graph=graph, controller_generation=5
+            xid=stale.xid, graph=graph, epoch=5
         )
         assert not isinstance(obi.handle_message(retry), ErrorMessage)
 
-    def test_generation_zero_is_legacy_and_accepted(self):
+    def test_unstamped_request_is_fenced_like_a_stale_one(self):
+        # There are no legacy senders: epoch 0 is simply below any
+        # generation a controller holds, so it bounces like a deposed one.
         clock = FakeClock()
         _, obi = connected(clock)
-        obi.handle_message(SetProcessingGraphRequest(
-            graph=build_firewall_graph().to_dict(), controller_generation=5
-        ))
+        version = obi.graph_version
         response = obi.handle_message(SetProcessingGraphRequest(
             graph=build_firewall_graph().to_dict()
         ))
-        assert not isinstance(response, ErrorMessage)
+        assert isinstance(response, ErrorMessage)
+        assert response.code == ErrorCode.STALE_GENERATION
+        assert obi.stale_generation_rejections == 1
+        assert obi.graph_version == version
 
     def test_keepalive_and_hello_carry_recovery_fields(self):
         clock = FakeClock()
@@ -281,7 +286,7 @@ class TestGenerationGuard:
         assert handle.reported_graph_version == obi.graph_version
         hello = obi.hello_message()
         assert hello.graph_digest == obi.graph_digest
-        assert hello.controller_generation == obi.highest_controller_generation
+        assert hello.epoch == obi.highest_controller_generation
 
 
 class TestGraphDigest:
@@ -296,11 +301,12 @@ class TestGraphDigest:
 
     def test_wire_corruption_detected_by_digest_cross_check(self):
         clock = FakeClock()
-        _, obi = connected(clock)
+        controller, obi = connected(clock)
         version = obi.graph_version
         response = obi.handle_message(SetProcessingGraphRequest(
             graph=build_firewall_graph().to_dict(),
             graph_digest="sha256:" + "0" * 64,
+            epoch=controller.generation,
         ))
         assert isinstance(response, ErrorMessage)
         assert response.code == ErrorCode.INVALID_GRAPH

@@ -60,9 +60,9 @@ def connected(config: ObiConfig, clock=None):
     controller = OpenBoxController()
     obi = OpenBoxInstance(config, clock=clock)
     connect_inproc(controller, obi)
-    response = obi.handle_message(
-        SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
-    )
+    response = obi.handle_message(SetProcessingGraphRequest(
+        graph=build_firewall_graph().to_dict(), epoch=controller.generation
+    ))
     assert not isinstance(response, ErrorMessage)
     return controller, obi
 
@@ -113,15 +113,17 @@ class TestObiReadHandles:
         graph.add_blocks([read, boom, out])
         graph.connect(read, boom)
         graph.connect(boom, out)
-        obi.handle_message(SetProcessingGraphRequest(graph=graph.to_dict()))
+        obi.handle_message(SetProcessingGraphRequest(
+            graph=graph.to_dict(), epoch=controller.generation
+        ))
         for _ in range(3):
             obi.process_packet(pass_packet())
             clock.advance(1.0)
 
         def read_handle(handle):
-            return obi.handle_message(
-                ReadRequest(block=OBI_PSEUDO_BLOCK, handle=handle)
-            ).value
+            return obi.handle_message(ReadRequest(
+                block=OBI_PSEUDO_BLOCK, handle=handle, epoch=controller.generation
+            )).value
 
         assert read_handle("errors_total") == 2  # third packet hit quarantine
         assert read_handle("quarantined_blocks") == ["boom"]
@@ -189,7 +191,9 @@ class TestAdmissionGate:
         graph.add_blocks([read, deep, out])
         graph.connect(read, deep)
         graph.connect(deep, out)
-        obi.handle_message(SetProcessingGraphRequest(graph=graph.to_dict()))
+        obi.handle_message(SetProcessingGraphRequest(
+            graph=graph.to_dict(), epoch=controller.generation
+        ))
         # Watermark 1.1 puts the gate in the pressure band immediately.
         outcome = obi.inject(pass_packet())
         assert [dev for dev, _p in outcome.outputs] == ["out"]
@@ -244,7 +248,9 @@ class TestAlertSuppression:
         graph.add_blocks([read, boom, out])
         graph.connect(read, boom)
         graph.connect(boom, out)
-        obi.handle_message(SetProcessingGraphRequest(graph=graph.to_dict()))
+        obi.handle_message(SetProcessingGraphRequest(
+            graph=graph.to_dict(), epoch=controller.generation
+        ))
         for _ in range(5):
             obi.process_packet(pass_packet())
             clock.advance(0.01)
@@ -322,9 +328,10 @@ class TestEntryVerify:
             return engine
 
         monkeypatch.setattr(instance_mod, "build_engine", sabotaged_build)
-        response = obi.handle_message(
-            SetProcessingGraphRequest(graph=build_firewall_graph("fw2").to_dict())
-        )
+        response = obi.handle_message(SetProcessingGraphRequest(
+            graph=build_firewall_graph("fw2").to_dict(),
+            epoch=controller.generation,
+        ))
         assert isinstance(response, ErrorMessage)
         assert response.code == ErrorCode.INVALID_GRAPH
         assert "entry point" in response.detail

@@ -62,11 +62,11 @@ ALL_MESSAGES = [
           capabilities={"HeaderClassifier": ["trie", "tcam"]},
           supports_custom_modules=True, capacity_hint=2.0,
           callback_url="http://127.0.0.1:9/openbox/message",
-          graph_version=2, graph_digest="sha256:ab", controller_generation=3),
-    HelloResponse(ok=True, detail="hello ack", controller_generation=3,
+          graph_version=2, graph_digest="sha256:ab", epoch=3),
+    HelloResponse(ok=True, detail="hello ack", epoch=3,
                   keepalive_interval=5.0),
     KeepAlive(obi_id="o1", graph_version=2, graph_digest="sha256:ab",
-              controller_generation=3),
+              epoch=3),
     ListCapabilitiesRequest(),
     ListCapabilitiesResponse(capabilities={"Discard": ["default"]}),
     GlobalStatsRequest(),
@@ -126,7 +126,7 @@ ALL_MESSAGES = [
     ReplicaAck(replica_id="c2", epoch=2, segment=1, offset=3),
     TelemetrySubscribe(subscriber="controller", topics=["metrics", "alerts"],
                        cursor=-1, window=32, drain=False,
-                       controller_generation=3),
+                       epoch=3),
     TelemetryStream(obi_id="o1", subscriber="controller",
                     records=[{"seq": 5, "kind": "metrics",
                               "counters": {"engine_packets_total": 9},
@@ -199,7 +199,7 @@ class TestCodecErrors:
 
     def test_wrong_major_version_rejected(self):
         payload = json.dumps(
-            {"version": "2.0.0", "message": {"type": "KeepAlive"}}
+            {"version": "1.2.0", "message": {"type": "KeepAlive"}}
         ).encode()
         with pytest.raises(CodecError) as info:
             decode_message(payload)
@@ -207,7 +207,7 @@ class TestCodecErrors:
 
     def test_same_major_minor_drift_accepted(self):
         payload = json.dumps(
-            {"version": "1.9.7", "message": {"type": "KeepAlive", "obi_id": "x"}}
+            {"version": "2.9.7", "message": {"type": "KeepAlive", "obi_id": "x"}}
         ).encode()
         decoded = decode_message(payload)
         assert isinstance(decoded, KeepAlive)

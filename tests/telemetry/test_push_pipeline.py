@@ -42,9 +42,9 @@ def connected(**config_kwargs):
         ObiConfig(obi_id="o1", segment="corp", **config_kwargs), clock=clock
     )
     pair = connect_inproc(controller, obi)
-    response = obi.handle_message(
-        SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
-    )
+    response = obi.handle_message(SetProcessingGraphRequest(
+        graph=build_firewall_graph().to_dict(), epoch=controller.generation
+    ))
     assert not isinstance(response, ErrorMessage)
     return controller, obi, pair, clock
 
