@@ -5,12 +5,17 @@ merge algorithm runs in orders of milliseconds, and the time grows
 nearly linearly with the size of graphs" (x-axis: merged graph size in
 number of connectors, 500-5000; y-axis: merge time, ms).
 
-Graph generator: NF pairs whose classifiers are small (so the
-cross-product stays bounded) but whose branches carry long chains of
-static blocks — merged size is swept by the chain length, exactly the
-regime where merge cost is dominated by tree copying/rewiring.
+Two sweeps:
 
-Regression gate: the growth exponent and max merged size are
+* **graph size** — NF pairs whose classifiers are small (so the
+  cross-product stays bounded) but whose branches carry long chains of
+  static blocks; merged size is swept by the chain length, the regime
+  where merge cost is dominated by tree copying/rewiring;
+* **rules per firewall** — two ``generate_firewall_rules`` firewalls
+  (FW+FW, 250 to 2000 rules each), the regime where merge cost is the
+  classifier cross product and shadow pruning.
+
+Regression gate: the growth exponents and max merged size are
 machine-independent, so they are checked against the committed
 baseline ``benchmarks/BENCH_merge.json`` (>30% exponent regression
 fails), mirroring the BENCH_fastpath.json pattern.
@@ -24,14 +29,44 @@ import time
 import pytest
 
 from benchmarks.conftest import RESULTS_DIR, write_result
+from repro.apps.firewall import FirewallApp, parse_firewall_rules
 from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.core.merge import merge_graphs
+from repro.sim.rulesets import generate_firewall_rules
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_merge.json"
 
 #: Largest tolerated growth-exponent increase vs the committed baseline.
 MAX_EXPONENT_REGRESSION = 0.30
+
+#: Rules per firewall in the FW+FW sweep.
+RULE_COUNTS = (250, 500, 1000, 2000)
+
+
+def growth_exponent(sizes, times):
+    """Slope of the log-log line through the first and last points."""
+    return math.log(times[-1] / times[0]) / math.log(sizes[-1] / sizes[0])
+
+
+def best_merge(graphs, attempts=2):
+    """(best wall time in ms, last MergeResult) over ``attempts`` merges."""
+    best = result = None
+    for _attempt in range(attempts):
+        start = time.perf_counter()
+        result = merge_graphs(graphs)
+        elapsed = (time.perf_counter() - start) * 1000.0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def record(**values):
+    """Add ``values`` to the fresh results file (both tests write to it)."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / "BENCH_merge.json"
+    recorded = json.loads(path.read_text()) if path.exists() else {}
+    recorded.update(values)
+    path.write_text(json.dumps(recorded, indent=2) + "\n")
 
 
 def build_wide_nf(name: str, branches: int, chain_length: int) -> ProcessingGraph:
@@ -73,14 +108,27 @@ def scalability_series():
     for chain_length in (8, 16, 32, 64, 128, 256, 512):
         first = build_wide_nf("a", branches=4, chain_length=chain_length)
         second = build_wide_nf("b", branches=4, chain_length=chain_length)
-        best = None
-        result = None
-        for _attempt in range(2):
-            start = time.perf_counter()
-            result = merge_graphs([first, second])
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        series.append((result.graph.num_connectors(), best * 1000.0, result))
+        millis, result = best_merge([first, second])
+        series.append((result.graph.num_connectors(), millis, result))
+    return series
+
+
+def build_firewall(name: str, rules: int, seed: int) -> ProcessingGraph:
+    text = generate_firewall_rules(rules, seed=seed)
+    return FirewallApp(name, parse_firewall_rules(text), alert_only=True).build_graph()
+
+
+@pytest.fixture(scope="module")
+def rules_series():
+    best_merge([build_firewall("w1", 100, 1), build_firewall("w2", 100, 2)])
+    series = []
+    for rules in RULE_COUNTS:
+        graphs = [
+            build_firewall("fw1", rules, seed=4560),
+            build_firewall("fw2", rules, seed=9120),
+        ]
+        millis, result = best_merge(graphs)
+        series.append((rules, millis, result))
     return series
 
 
@@ -94,19 +142,15 @@ def test_fig11_merge_time_scaling(benchmark, scalability_series):
     # Growth exponent from the log-log endpoints; "nearly linear" in the
     # paper. Allow up to ~1.6 for interpreter noise and the O(n log n)
     # bookkeeping, and demand clearly sub-quadratic behaviour.
-    exponent = math.log(times[-1] / times[0]) / math.log(sizes[-1] / sizes[0])
+    exponent = growth_exponent(sizes, times)
     lines.append(f"\ngrowth exponent (log-log endpoints): {exponent:.2f} "
                  f"(paper: ~1.0, nearly linear)")
     write_result("fig11_merge_scalability", "\n".join(lines) + "\n")
-    result = {
-        "growth_exponent": round(exponent, 3),
-        "connectors_max": sizes[-1],
+    record(
+        growth_exponent=round(exponent, 3),
+        connectors_max=sizes[-1],
         # Machine-dependent, recorded for context only — not gated.
-        "merge_ms_at_max": round(times[-1], 1),
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_merge.json").write_text(
-        json.dumps(result, indent=2) + "\n"
+        merge_ms_at_max=round(times[-1], 1),
     )
 
     # The x-axis is meaningful: larger inputs give larger merged graphs,
@@ -138,3 +182,39 @@ def test_fig11_merge_time_scaling(benchmark, scalability_series):
     first = build_wide_nf("a", branches=4, chain_length=64)
     second = build_wide_nf("b", branches=4, chain_length=64)
     benchmark.pedantic(lambda: merge_graphs([first, second]), rounds=3, iterations=1)
+
+
+def test_fig11_merge_time_vs_rules(rules_series):
+    lines = [f"{'rules/fw':>8s} {'merge time [ms]':>16s} {'pairs intersected':>18s}"]
+    for rules, millis, result in rules_series:
+        lines.append(
+            f"{rules:8d} {millis:16.1f} "
+            f"{result.compression.rule_pairs_intersected:18d}"
+        )
+    rules = [row[0] for row in rules_series]
+    times = [row[1] for row in rules_series]
+    exponent = growth_exponent(rules, times)
+    lines.append(f"\ngrowth exponent in rules per firewall: {exponent:.2f} "
+                 f"(trying every rule pair: 2.0)")
+    write_result("fig11_merge_vs_rules", "\n".join(lines) + "\n")
+    record(
+        rules_growth_exponent=round(exponent, 3),
+        rules_max=rules[-1],
+        # Machine-dependent, recorded for context only — not gated.
+        rules_merge_ms_at_max=round(times[-1], 1),
+    )
+
+    for _rules, _millis, merge_result in rules_series:
+        assert not merge_result.used_naive
+        assert merge_result.compression.classifier_merges == 2
+    # Clearly sub-quadratic: the cross product only tries overlapping
+    # pairs, and shadow pruning only asks the rules that can cover.
+    assert exponent < 1.6
+    baseline = json.loads(BASELINE_PATH.read_text())
+    ceiling = baseline["rules_growth_exponent"] * (1.0 + MAX_EXPONENT_REGRESSION)
+    assert exponent <= ceiling, (
+        f"rules growth exponent {exponent:.2f} regressed more than "
+        f"{MAX_EXPONENT_REGRESSION:.0%} vs baseline "
+        f"{baseline['rules_growth_exponent']:.2f} (ceiling {ceiling:.2f})"
+    )
+    assert rules[-1] >= baseline["rules_max"]

@@ -15,11 +15,7 @@ Payload classification uses :class:`~repro.core.classify.regex.AhoCorasick`
 for literal pattern sets, with compiled-``re`` fallback for true regexes.
 """
 
-from repro.core.classify.header import (
-    HeaderRuleSet,
-    LinearMatcher,
-    merge_rulesets,
-)
+from repro.core.classify.header import HeaderRuleSet, LinearMatcher
 from repro.core.classify.regex import AhoCorasick, RegexPattern, RegexRuleSet
 from repro.core.classify.rules import HeaderRule, PortRange, Prefix
 from repro.core.classify.tcam import TcamMatcher
@@ -36,5 +32,4 @@ __all__ = [
     "RegexRuleSet",
     "TcamMatcher",
     "TrieMatcher",
-    "merge_rulesets",
 ]

@@ -1,16 +1,19 @@
-"""HeaderClassifier rule sets and the cross-product merge.
+"""HeaderClassifier rule sets: first-match classification and pruning.
 
-:func:`merge_rulesets` implements the paper's ``mergeWith`` logic
-(§2.2.1): it "creates a cross-product of rules from both classifiers,
-orders them according to their priority, removes duplicate rules caused by
-the cross-product and empty rules caused by priority considerations, and
-outputs a new classifier that uses the merged rule set."
+The paper's ``mergeWith`` (§2.2.1) "creates a cross-product of rules from
+both classifiers, orders them according to their priority, removes
+duplicate rules caused by the cross-product and empty rules caused by
+priority considerations". The cross product lives in
+:func:`repro.core.compress.merge_classifier_rulesets_on_branch`; the
+removal steps are :meth:`HeaderRuleSet.prune_shadowed` and
+:meth:`HeaderRuleSet.prune_default_tail`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
+from repro.core.classify.index import RuleIndex
 from repro.core.classify.rules import HeaderRule
 from repro.net.packet import Packet
 
@@ -58,42 +61,23 @@ class HeaderRuleSet:
     def num_ports(self) -> int:
         return max(self.used_ports()) + 1
 
-    #: Above this size, pairwise coverage pruning (O(n^2)) is skipped and
-    #: only O(n) exact-duplicate elimination runs. Pruning is purely an
-    #: optimization, so the threshold never affects semantics.
-    FULL_PRUNE_LIMIT = 2_000
-
     def prune_shadowed(self) -> "HeaderRuleSet":
         """Drop rules that can never be the first match.
 
-        Two passes (both semantics-preserving):
-
-        1. exact-duplicate elimination — a rule whose match fields equal
-           an earlier rule's never fires, whatever its port ("removes
-           duplicate rules caused by the cross-product");
-        2. for rule sets up to :data:`FULL_PRUNE_LIMIT`, single-rule
-           coverage elimination — a rule fully covered by one earlier
-           rule never fires ("empty rules caused by priority
-           considerations").
+        A rule covered by an earlier kept rule never fires ("empty rules
+        caused by priority considerations"); an exact duplicate of an
+        earlier rule is covered by it ("removes duplicate rules caused by
+        the cross-product"). Covering is transitive, so checking only the
+        kept rules loses nothing. :class:`RuleIndex` finds the covering
+        rules without trying each one, so pruning has no size limit.
         """
+        index = RuleIndex(self.rules)
         kept: list[HeaderRule] = []
-        seen_matches: set[tuple] = set()
-        for rule in self.rules:
-            fingerprint = (
-                rule.src, rule.dst, rule.src_port, rule.dst_port,
-                rule.proto, rule.vlan, rule.dscp,
-            )
-            if fingerprint in seen_matches:
-                continue
-            seen_matches.add(fingerprint)
-            kept.append(rule)
-        if len(kept) <= self.FULL_PRUNE_LIMIT:
-            covered: list[HeaderRule] = []
-            for rule in kept:
-                if any(earlier.covers(rule) for earlier in covered):
-                    continue
-                covered.append(rule)
-            kept = covered
+        kept_bits = 0
+        for position, rule in enumerate(self.rules):
+            if not index.covering(rule, kept_bits):
+                kept.append(rule)
+                kept_bits |= 1 << position
         return HeaderRuleSet(kept, self.default_port)
 
     def prune_default_tail(self) -> "HeaderRuleSet":
@@ -119,37 +103,3 @@ class LinearMatcher:
 
     def match(self, packet: Packet) -> int:
         return self.ruleset.classify(packet)
-
-
-def merge_rulesets(
-    first: HeaderRuleSet,
-    second: HeaderRuleSet,
-    port_map: Callable[[int, int], int],
-) -> HeaderRuleSet:
-    """Cross-product merge of two classifiers applied in sequence.
-
-    A packet classified to port ``a`` by ``first`` and port ``b`` by
-    ``second`` must be classified to ``port_map(a, b)`` by the result.
-
-    Priority is lexicographic ``(i, j)`` over the two input priorities,
-    which reproduces sequential first-match semantics: the first matching
-    rule of ``first`` decides ``a``, then the first matching rule of
-    ``second`` decides ``b``.
-    """
-    # Materialize the implicit catch-all defaults so the cross product
-    # covers the full packet space.
-    rules_a = list(first.rules) + [HeaderRule(port=first.default_port)]
-    rules_b = list(second.rules) + [HeaderRule(port=second.default_port)]
-
-    merged: list[HeaderRule] = []
-    for rule_a in rules_a:
-        for rule_b in rules_b:
-            combined = rule_a.intersect(rule_b, port_map(rule_a.port, rule_b.port))
-            if combined is not None:
-                merged.append(combined)
-
-    # The final (catch-all x catch-all) pair becomes the new default.
-    default_port = port_map(first.default_port, second.default_port)
-    result = HeaderRuleSet(merged, default_port)
-    result = result.prune_shadowed()
-    return result.prune_default_tail()

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.core.blocks import Block, BlockClass
 from repro.core.classify.header import HeaderRuleSet
+from repro.core.classify.index import RuleIndex, iter_bits
 from repro.core.classify.rules import HeaderRule
 from repro.core.graph import ProcessingGraph
 
@@ -47,6 +48,8 @@ class CompressionStats:
     static_combines: int = 0
     statics_cloned: int = 0
     passes: int = 0
+    #: Rule pairs the cross product intersected; each yields a rule.
+    rule_pairs_intersected: int = 0
 
 
 def compress_tree(
@@ -141,6 +144,7 @@ def merge_classifier_rulesets_on_branch(
     branch_port: int,
     inner: HeaderRuleSet,
     allocate: "PortAllocator",
+    stats: CompressionStats,
 ) -> HeaderRuleSet:
     """Merge ``inner`` (reached via ``outer`` port ``branch_port``) into ``outer``.
 
@@ -159,12 +163,20 @@ def merge_classifier_rulesets_on_branch(
     branch where the inner classifier actually sits, which keeps the rule
     count at ``O(|outer| + k·|inner|)`` instead of ``O(|outer|·|inner|)``
     (k = rules mapping to the merged branch).
+
+    Each branch rule is intersected only with the inner rules a
+    :class:`RuleIndex` reports as overlapping it, in inner order, so every
+    pair tried is non-empty (counted in ``stats.rule_pairs_intersected``).
+    Branch ports are allocated for every inner rule, in inner order, at
+    the first branch rule — the order trying every pair would give.
     """
     inner_rules = list(inner.rules) + [HeaderRule(port=inner.default_port)]
     merged: list[HeaderRule] = []
     outer_rules = list(outer.rules) + [HeaderRule(port=outer.default_port)]
-    for index, rule_a in enumerate(outer_rules):
-        is_catch_all_default = index == len(outer_rules) - 1
+    index: RuleIndex | None = None
+    inner_ports: list[int] = []
+    for position, rule_a in enumerate(outer_rules):
+        is_catch_all_default = position == len(outer_rules) - 1
         if rule_a.port != branch_port:
             target = allocate.outer_port(rule_a.port)
             if not is_catch_all_default:
@@ -175,12 +187,12 @@ def merge_classifier_rulesets_on_branch(
                     port=target,
                 ))
             continue
-        for rule_b in inner_rules:
-            combined = rule_a.intersect(
-                rule_b, allocate.branch_port(rule_b.port)
-            )
-            if combined is not None:
-                merged.append(combined)
+        if index is None:
+            index = RuleIndex(inner_rules)
+            inner_ports = [allocate.branch_port(rule.port) for rule in inner_rules]
+        for slot in iter_bits(index.overlapping(rule_a)):
+            merged.append(rule_a.intersect(inner_rules[slot], inner_ports[slot]))
+            stats.rule_pairs_intersected += 1
 
     if outer.default_port != branch_port:
         default = allocate.outer_port(outer.default_port)
@@ -225,6 +237,7 @@ def _try_classifier_merge(tree: ProcessingGraph, stats: CompressionStats) -> boo
         branch_port,
         HeaderRuleSet.from_config(inner.config),
         allocate,
+        stats,
     )
     merged_block = Block(
         type=outer.type,

@@ -3,8 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify.header import HeaderRuleSet, merge_rulesets
-from repro.core.classify.rules import HeaderRule, PortRange, Prefix
+from repro.core.classify.header import HeaderRuleSet
+from repro.core.classify.rules import HeaderRule
+from repro.core.compress import (
+    CompressionStats,
+    PortAllocator,
+    merge_classifier_rulesets_on_branch,
+)
 from repro.net.builder import make_tcp_packet
 
 
@@ -78,13 +83,15 @@ class TestPruning:
         )
         assert len(ruleset.prune_default_tail()) == 2
 
-    def test_large_ruleset_skips_quadratic_prune(self):
-        rules = [{"dst_port": port % 60000, "port": 1} for port in range(2501)]
-        ruleset = _ruleset(*rules)
-        pruned = ruleset.prune_shadowed()
-        # Exact duplicates removed (ports 0..2500 wrap at 60000: no dups
-        # here), coverage pruning skipped above the limit.
-        assert len(pruned) == 2501
+    def test_large_ruleset_is_fully_pruned(self):
+        # 3300 rules, no two identical; every TCP-only rule is covered by
+        # the any-protocol rule on its port that precedes it.
+        wide = [{"dst_port": port, "port": 1} for port in range(2200)]
+        tcp = [{"dst_port": port, "proto": 6, "port": 2}
+               for port in range(0, 2200, 2)]
+        pruned = _ruleset(*wide, *tcp).prune_shadowed()
+        assert len(pruned) == 2200
+        assert all(rule.proto is None for rule in pruned)
 
 
 # ----------------------------------------------------------------------
@@ -128,32 +135,43 @@ def trace_packets():
     )
 
 
+def merge_on_branch(outer, branch_port, inner):
+    allocate = PortAllocator()
+    stats = CompressionStats()
+    merged = merge_classifier_rulesets_on_branch(
+        outer, branch_port, inner, allocate, stats
+    )
+    return merged, allocate.assignments(), stats
+
+
 class TestMergeRulesets:
     @settings(max_examples=200, deadline=None)
-    @given(rulesets(), rulesets(), st.lists(trace_packets(), min_size=1, max_size=8))
-    def test_merged_equals_cascade(self, first, second, packets):
-        """merge(A, B) classifies like running A then B, for all packets."""
-        port_map = {}
-
-        def mapper(a, b):
-            return port_map.setdefault((a, b), len(port_map))
-
-        merged = merge_rulesets(first, second, mapper)
+    @given(rulesets(), st.integers(0, 3), rulesets(),
+           st.lists(trace_packets(), min_size=1, max_size=8))
+    def test_merged_equals_cascade(self, outer, branch_port, inner, packets):
+        """The merge classifies like ``outer``, then ``inner`` on its branch."""
+        merged, ports, _stats = merge_on_branch(outer, branch_port, inner)
         for packet in packets:
-            expected = port_map[(first.classify(packet), second.classify(packet))]
+            first = outer.classify(packet)
+            if first == branch_port:
+                expected = ports[("branch", inner.classify(packet))]
+            else:
+                expected = ports[("outer", first)]
             assert merged.classify(packet) == expected
 
     def test_empty_rulesets_merge_to_default(self):
-        merged = merge_rulesets(
-            HeaderRuleSet([], 1), HeaderRuleSet([], 2), lambda a, b: a * 10 + b
+        merged, ports, _stats = merge_on_branch(
+            HeaderRuleSet([], 1), 1, HeaderRuleSet([], 2)
         )
-        assert merged.default_port == 12
+        assert merged.default_port == ports[("branch", 2)]
         assert len(merged) == 0
 
     def test_disjoint_protocols_prune_cross_terms(self):
         tcp_only = _ruleset({"proto": 6, "dst_port": 80, "port": 1}, default=0)
         udp_only = _ruleset({"proto": 17, "port": 1}, default=0)
-        merged = merge_rulesets(tcp_only, udp_only, lambda a, b: a * 2 + b)
-        # tcp:80 ∩ udp is empty; only the meaningful combinations remain.
+        merged, ports, stats = merge_on_branch(tcp_only, 1, udp_only)
+        # tcp:80 ∩ udp is empty and never tried: only tcp:80 ∩ the inner
+        # catch-all is intersected.
+        assert stats.rule_pairs_intersected == 1
         packet_tcp = make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 80)
-        assert merged.classify(packet_tcp) == 1 * 2 + 0
+        assert merged.classify(packet_tcp) == ports[("branch", 0)]
