@@ -12,6 +12,7 @@ Run:  python3 examples/distributed_dataplane.py
 from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.firewall import FirewallApp, parse_firewall_rules
 from repro.apps.ips import IpsApp, parse_snort_rules
+from repro.controller.reconcile import AntiEntropyLoop
 from repro.controller.split import deploy_split
 from repro.net.builder import make_tcp_packet
 from repro.sim.network import SimNetwork
@@ -45,12 +46,17 @@ def main() -> None:
 
     # Merge both applications, then split at the header classifier: the
     # first half runs on the TCAM, the second half on software replicas.
-    merged = controller.compute_deployment("hw-obi").graph
+    merged = controller.obis["hw-obi"].deployed.graph
     split = deploy_split(controller, "hw-obi",
                          [obi.config.obi_id for obi in replicas],
                          spi=7, trunk_device="sfc0")
     print(f"merged graph: {len(merged.blocks)} blocks; split into "
           f"{len(split.first.blocks)} (classify) + {len(split.second.blocks)} (process)")
+
+    # The split is journaled intent, so an anti-entropy round keeps it.
+    report = AntiEntropyLoop(controller).reconcile()
+    print(f"anti-entropy round       : {len(report.converged)} converged, "
+          f"{len(report.pushed)} pushed")
 
     # Wire the Figure 5 topology: A -> hw OBI -> mux -> sw OBIs -> B.
     host_b = network.add_host("B")

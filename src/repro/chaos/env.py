@@ -42,7 +42,6 @@ from repro.controller.orchestrator import OrchestrationLoop, TickReport
 from repro.controller.reconcile import AntiEntropyLoop
 from repro.controller.replication import ReplicationHub, StandbyController
 from repro.controller.scaling import ScalingManager, ScalingPolicy
-from repro.controller.split import deploy_split
 from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet
@@ -416,7 +415,10 @@ class ChaosEnv:
 
         Per OBI it sends every kind of request a controller has: a graph
         push, a handle write, a handoff of its stale checkpoint of the
-        next OBI, a stats poll, a telemetry subscribe and a split deploy.
+        next OBI, a stats poll and a telemetry subscribe. (A split
+        declaration sends nothing a graph push does not, and one the
+        ghost made while still leader would stay intent for the rest of
+        the run.)
         Returns (and accumulates) how many requests the OBIs *served* —
         counted there, since under an ``rx`` partition the ghost never
         sees the answer to a request that was applied. The split-brain
@@ -437,9 +439,6 @@ class ChaosEnv:
                 ),
                 lambda: ghost.poll_stats(obi_id),
                 lambda: ghost.subscribe_telemetry(obi_id),
-                lambda: deploy_split(
-                    ghost, obi_id, [o for o in self.obi_ids if o != obi_id]
-                ),
             ):
                 try:
                     act()

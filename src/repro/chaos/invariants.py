@@ -140,6 +140,11 @@ def _check_journal_replay(env: "ChaosEnv") -> str | None:
             f"replayed OBI intent diverges from live state: "
             f"{replayed.obis} != {intent.obis}"
         )
+    if replayed.splits != intent.splits:
+        return (
+            f"replayed splits diverge from live state: "
+            f"{replayed.splits} != {intent.splits}"
+        )
     return None
 
 

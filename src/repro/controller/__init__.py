@@ -9,12 +9,12 @@ The OBC (paper §3.3) is the logically-centralized control plane:
   list of applicable statements, one push per changed digest
   (:mod:`.sweep`);
 * upstream events (alerts, keepalives) are demultiplexed to the right
-  application (:mod:`.xid`, :mod:`.obc`);
+  application (:mod:`.obc`);
 * load statistics drive scaling decisions (:mod:`.stats`, :mod:`.scaling`);
 * the steering module maps service chains onto the forwarding plane
-  (:mod:`.steering`), placement chooses which OBIs host which NFs
-  (:mod:`.placement`), and :mod:`.split` divides a graph between a
-  hardware-classifier OBI and a software OBI (paper Figures 5-6);
+  (:mod:`.steering`), and a journaled split declaration (:mod:`.split`)
+  divides an OBI's merged graph between a hardware-classifier OBI and
+  software OBIs (paper Figures 5-6), resolved by every sweep;
 * high availability (PROTOCOL.md §12): lease-based leadership with
   epoch fencing (:mod:`.lease`) and journal streaming to hot standbys
   with lease-epoch-fenced takeover (:mod:`.replication`).

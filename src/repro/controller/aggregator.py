@@ -21,6 +21,7 @@ from typing import Any, Iterable
 
 from repro.controller.apps import AppStatement, OpenBoxApplication
 from repro.controller.segments import SegmentHierarchy
+from repro.controller.split import split_at_classifier
 from repro.core.graph import ProcessingGraph, canonical_graph_digest
 from repro.core.merge import MergePolicy, MergeResult, merge_graphs, naive_merge
 
@@ -95,8 +96,9 @@ class SweepApplications:
     merged graphs a deployment needs (paper §3.3-3.4), so everything
     :meth:`GraphAggregator.aggregate` computes is shared among the OBIs
     of one sweep: every application's ``statements()`` is taken once,
-    here, and the merged result and its wire form are kept per distinct
-    list of applicable statements.
+    here, and the merged result, its wire form and the halves a split
+    declaration cuts it into are kept per distinct list of applicable
+    statements.
 
     All of it lives exactly as long as the sweep holds this object. The
     next sweep builds its own, so an application that changed its rules
@@ -115,6 +117,9 @@ class SweepApplications:
         #: Applicable-statement indices -> the one merge they share.
         self.results: dict[tuple[int, ...], AggregationResult] = {}
         self._wire: dict[AggregationResult, tuple[dict[str, Any], str]] = {}
+        self._halves: dict[
+            tuple[Any, ...], tuple[AggregationResult, AggregationResult]
+        ] = {}
 
     def applicable(
         self, obi_id: str, obi_segment: str, hierarchy: SegmentHierarchy
@@ -135,6 +140,26 @@ class SweepApplications:
                 graph_dict, canonical_graph_digest(graph_dict)
             )
         return known
+
+    def split(
+        self, result: AggregationResult, split: dict[str, Any]
+    ) -> tuple[AggregationResult, AggregationResult]:
+        """``result`` cut by a split declaration into the half its
+        hardware OBI runs and the half its software OBIs run, computed
+        once per shared result. Raises ``GraphValidationError`` when the
+        merge cannot be split there."""
+        key = (result, split["classifier"], split["spi"], split["trunk_device"])
+        halves = self._halves.get(key)
+        if halves is None:
+            graphs = split_at_classifier(
+                result.graph, split["classifier"], spi=split["spi"],
+                trunk_device=split["trunk_device"],
+            )
+            halves = self._halves[key] = (
+                AggregationResult(graphs.first, result.app_names, result.merge_results),
+                AggregationResult(graphs.second, result.app_names, result.merge_results),
+            )
+        return halves
 
 
 class GraphAggregator:

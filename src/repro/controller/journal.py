@@ -7,9 +7,10 @@ layer with two halves:
 
 * an **append-only JSON-lines journal**: every state mutation (app
   registration, segment discovery, OBI connection, successful deploy,
-  generation bump) is one self-describing record. Appends are batched
-  to ``fsync`` every ``fsync_every`` records — the classic WAL
-  throughput/durability trade, tunable down to 1 for strict durability;
+  split declaration, generation bump) is one self-describing record.
+  Appends are batched to ``fsync`` every ``fsync_every`` records — the
+  classic WAL throughput/durability trade, tunable down to 1 for strict
+  durability;
 * **periodic compacted snapshots**: after ``compact_every`` appends the
   whole logical state is rewritten as a single ``snapshot`` record into
   a fresh file, atomically swapped in with ``os.replace``, so the
@@ -64,6 +65,8 @@ class JournalState:
     segments: list[str] = field(default_factory=list)
     #: obi_id -> {"segment", "callback_url", "digest", "graph_version"}.
     obis: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: hardware obi_id -> {"sw_obi_ids", "classifier", "spi", "trunk_device"}.
+    splits: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Highest transaction id known to have been allocated.
     xid_high: int = 0
 
@@ -73,6 +76,7 @@ class JournalState:
             "apps": self.apps,
             "segments": list(self.segments),
             "obis": self.obis,
+            "splits": self.splits,
             "xid_high": self.xid_high,
         }
 
@@ -88,6 +92,10 @@ class JournalState:
         state.obis = {
             str(obi_id): dict(info)
             for obi_id, info in dict(data.get("obis", {})).items()
+        }
+        state.splits = {
+            str(hw_obi_id): dict(split)
+            for hw_obi_id, split in dict(data.get("splits", {})).items()
         }
         state.xid_high = int(data.get("xid_high", 0))
         return state
@@ -132,6 +140,15 @@ class JournalState:
                 )
                 entry["digest"] = str(record.get("digest", ""))
                 entry["graph_version"] = int(record.get("graph_version", 0))
+        elif kind == "split":
+            hw_obi_id = str(record.get("hw_obi_id", ""))
+            if hw_obi_id:
+                self.splits[hw_obi_id] = {
+                    "sw_obi_ids": [str(o) for o in record.get("sw_obi_ids", [])],
+                    "classifier": record.get("classifier"),
+                    "spi": int(record.get("spi", 1)),
+                    "trunk_device": str(record.get("trunk_device", "sfc0")),
+                }
         # Any record may carry an xid high-watermark piggyback.
         if "xid_high" in record:
             self.xid_high = max(self.xid_high, int(record["xid_high"]))

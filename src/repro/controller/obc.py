@@ -136,6 +136,10 @@ class OpenBoxController:
         self.stats = ObiStatsTracker(clock=self.clock)
         self.applications: dict[str, OpenBoxApplication] = {}
         self.obis: dict[str, ObiHandle] = {}
+        #: Figure 5 split declarations (``split.deploy_split``), keyed by
+        #: hardware OBI: {"sw_obi_ids", "classifier", "spi",
+        #: "trunk_device"}. Intent, journaled; every sweep resolves it.
+        self.splits: dict[str, dict[str, Any]] = {}
         self.auto_deploy = auto_deploy
         #: The most recent alerts from the whole fleet (a ring: see
         #: ``ALERT_LOG_SIZE``); ``controller_alerts_received_total`` counts.
@@ -316,6 +320,7 @@ class OpenBoxController:
             }
         for obi_id, info in self.expected_obis.items():
             state.obis.setdefault(obi_id, dict(info))
+        state.splits = {hw: dict(split) for hw, split in self.splits.items()}
         state.xid_high = xid_watermark()
         return state
 
@@ -340,11 +345,12 @@ class OpenBoxController:
         """Rebuild a controller from its journal after a crash.
 
         Replays snapshot + tail (longest valid prefix), restores segment
-        topology and per-OBI intended state, advances the xid allocator
-        past the journaled high-watermark, durably bumps the controller
-        generation *before* anything is sent (split-brain fencing), and
-        re-registers the supplied application objects (code cannot live
-        in a journal — the journal only validates the set by name).
+        topology, per-OBI intended state and split declarations, advances
+        the xid allocator past the journaled high-watermark, durably bumps
+        the controller generation *before* anything is sent (split-brain
+        fencing), and re-registers the supplied application objects (code
+        cannot live in a journal — the journal only validates the set by
+        name).
 
         OBIs are *not* contacted here: they reappear in ``self.obis`` as
         they re-Hello (or are re-dialed via their journaled callback
@@ -367,6 +373,7 @@ class OpenBoxController:
         controller.expected_obis = {
             obi_id: dict(info) for obi_id, info in state.obis.items()
         }
+        controller.splits = {hw: dict(split) for hw, split in state.splits.items()}
         # Fence the new generation durably before any message goes out.
         controller.journal = StateJournal(
             path, fsync_every=fsync_every, compact_every=compact_every,
@@ -604,13 +611,6 @@ class OpenBoxController:
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
-    def compute_deployment(self, obi_id: str) -> AggregationResult | None:
-        """The merged graph that should run on ``obi_id`` right now."""
-        handle = self._handle_of(obi_id)
-        return self.aggregator.aggregate(
-            self.applications.values(), handle.obi_id, handle.segment
-        )
-
     def _record_deploy_failure(self, obi_id: str, detail: str) -> None:
         """Track a failed deployment and surface it on the alert path."""
         self.deploy_failures.append((obi_id, detail))

@@ -13,9 +13,14 @@ decodes the metadata and applies the corresponding processing path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.blocks import Block, BlockClass
 from repro.core.graph import GraphValidationError, ProcessingGraph
+from repro.protocol.errors import ErrorCode, ProtocolError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.controller.obc import OpenBoxController
 
 #: Metadata key carrying the upstream classification result.
 CLASSIFY_RESULT_KEY = "openbox.classify_result"
@@ -33,7 +38,7 @@ class SplitGraphs:
 
 def split_at_classifier(
     graph: ProcessingGraph,
-    classifier_name: str,
+    classifier_name: str | None,
     spi: int = 1,
     first_implementation: str | None = "tcam",
     trunk_device: str = "sfc0",
@@ -47,10 +52,23 @@ def split_at_classifier(
     ``MetadataClassifier``, and continues with the original subtrees
     (Figure 6(b)).
 
-    ``first_implementation`` pins the classifier's implementation in the
-    first OBI (default: the simulated TCAM — the hardware-accelerator
-    use case the paper motivates the split with).
+    ``classifier_name`` None splits at the graph's first
+    ``HeaderClassifier``. ``first_implementation`` pins the classifier's
+    implementation in the first OBI (default: the simulated TCAM — the
+    hardware-accelerator use case the paper motivates the split with).
+    Both halves list their blocks in ``graph``'s order, so equal graphs
+    split into equal digests.
     """
+    if classifier_name is None:
+        classifier_name = next(
+            (block.name for block in graph.blocks.values()
+             if block.type == "HeaderClassifier"),
+            None,
+        )
+        if classifier_name is None:
+            raise GraphValidationError(
+                f"graph {graph.name!r} has no HeaderClassifier to split at"
+            )
     if classifier_name not in graph.blocks:
         raise GraphValidationError(f"no block named {classifier_name!r}")
     classifier = graph.blocks[classifier_name]
@@ -70,9 +88,10 @@ def split_at_classifier(
 
     # ---------------- First OBI: classify + export metadata ----------
     first = ProcessingGraph(f"{graph.name}:classify")
-    for name in upstream | {classifier_name}:
-        block = graph.blocks[name]
-        clone = block.clone(name=block.name)
+    for name, block in graph.blocks.items():
+        if name in descendants:
+            continue
+        clone = block.clone(name=name)
         if name == classifier_name and first_implementation is not None:
             clone.implementation = first_implementation
         first.add_block(clone)
@@ -157,8 +176,9 @@ def split_at_classifier(
         forwarded_descendants.add(current)
         stack.extend(connector.dst for connector in graph.out_connectors(current))
 
-    for name in forwarded_descendants:
-        second.add_block(graph.blocks[name].clone(name=name))
+    for name, block in graph.blocks.items():
+        if name in forwarded_descendants:
+            second.add_block(block.clone(name=name))
     for connector in graph.connectors:
         if connector.src in forwarded_descendants and connector.dst in forwarded_descendants:
             second.connect(connector.src, connector.dst, connector.src_port)
@@ -172,60 +192,61 @@ def split_at_classifier(
 
 
 def deploy_split(
-    controller,
+    controller: "OpenBoxController",
     hw_obi_id: str,
     sw_obi_ids: list[str],
     classifier_name: str | None = None,
     spi: int = 1,
     trunk_device: str = "sfc0",
 ) -> SplitGraphs:
-    """Compute, split, and deploy one OBI group's merged graph.
+    """Declare the Figure 5 deployment for one OBI group and sweep it.
 
-    The Figure 5 deployment in one call: the merged graph that would run
-    on ``hw_obi_id`` is split at ``classifier_name`` (default: its first
-    header classifier); the classification half goes to the hardware OBI
-    with the TCAM implementation, the processing half to every software
-    replica. The caller wires the forwarding plane (e.g. a multiplexer
-    on ``trunk_device``) — see ``examples/distributed_dataplane.py``.
+    The merged graph that would run on ``hw_obi_id`` is split at
+    ``classifier_name`` (default: the first header classifier of that
+    merge, looked up again on every sweep); the classification half runs
+    on the hardware OBI with the TCAM implementation, the processing
+    half on every software replica. The declaration is intent, like an
+    application: it is journaled, restored by ``recover()``, and
+    resolved by every fleet sweep (:meth:`FleetSweep.intended`), so
+    anti-entropy keeps the split instead of undoing it and nothing here
+    pushes a graph of its own. Re-declaring ``hw_obi_id`` replaces its
+    split. The caller wires the forwarding plane (e.g. a multiplexer on
+    ``trunk_device``) — see ``examples/distributed_dataplane.py``.
     """
-    from repro.protocol.errors import ErrorCode, ProtocolError
-    from repro.protocol.messages import SetProcessingGraphRequest
+    from repro.controller.sweep import FleetSweep
 
-    deployment = controller.compute_deployment(hw_obi_id)
-    if deployment is None:
+    members = [hw_obi_id, *sw_obi_ids]
+    handles = [controller._handle_of(obi_id) for obi_id in members]
+    if len(set(members)) != len(members):
+        raise ProtocolError(
+            ErrorCode.INVALID_GRAPH,
+            f"split of {hw_obi_id!r} names an OBI twice: {members}",
+        )
+    for other, declared in controller.splits.items():
+        taken = set(members) & {other, *declared["sw_obi_ids"]}
+        if other != hw_obi_id and taken:
+            raise ProtocolError(
+                ErrorCode.INVALID_GRAPH,
+                f"{sorted(taken)} already belong to the split of {other!r}",
+            )
+    split = {"sw_obi_ids": list(sw_obi_ids), "classifier": classifier_name,
+             "spi": spi, "trunk_device": trunk_device}
+    sweep = FleetSweep(controller)
+    halves = sweep.halves(hw_obi_id, handles[0].segment, split)
+    if halves is None:
         raise ProtocolError(
             ErrorCode.INVALID_GRAPH, f"no applications apply to {hw_obi_id!r}"
         )
-    merged = deployment.graph
-    if classifier_name is None:
-        classifier_name = next(
-            (block.name for block in merged.blocks.values()
-             if block.type == "HeaderClassifier"),
-            None,
-        )
-        if classifier_name is None:
-            raise ProtocolError(
-                ErrorCode.INVALID_GRAPH,
-                f"merged graph for {hw_obi_id!r} has no HeaderClassifier to split at",
-            )
-    split = split_at_classifier(
-        merged, classifier_name, spi=spi, trunk_device=trunk_device
+    # A software OBI a re-declaration drops goes back to the unsplit graph.
+    dropped = controller.splits.get(hw_obi_id, {}).get("sw_obi_ids", [])
+    handles += [controller.obis[obi_id] for obi_id in dropped
+                if obi_id not in members and obi_id in controller.obis]
+    controller.splits[hw_obi_id] = split
+    controller._journal(
+        {"rec": "split", "hw_obi_id": hw_obi_id, **split}, flush=True
     )
-
-    def push(obi_id: str, graph: ProcessingGraph) -> None:
-        response = controller.send(
-            obi_id, SetProcessingGraphRequest(graph=graph.to_dict())
-        )
-        if not getattr(response, "ok", False):
-            raise ProtocolError(
-                ErrorCode.INVALID_GRAPH,
-                f"OBI {obi_id!r} rejected split graph: {response}",
-            )
-
-    push(hw_obi_id, split.first)
-    for obi_id in sw_obi_ids:
-        push(obi_id, split.second)
-    return split
+    sweep.run(handles).raise_if_refused()
+    return SplitGraphs(first=halves[0].graph, second=halves[1].graph, spi=spi)
 
 
 def _strict_descendants(graph: ProcessingGraph, name: str) -> set[str]:

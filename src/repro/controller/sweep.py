@@ -9,12 +9,21 @@ pass over some of the fleet that works that way, and every deployment
 goes through one: registering or unregistering an application and an
 anti-entropy round sweep the fleet, ``update_logic`` sweeps the OBIs the
 application applies to, a Hello or an explicit ``deploy`` is a sweep of
-one.
+one, and declaring a Figure 5 split (``deploy_split``) sweeps its OBIs.
+
+**Placement is intent.** An OBI named in a split declaration runs one
+half of its hardware OBI's merged graph (§3.1, Figures 5-6): the
+hardware OBI the classifying half, each software OBI the processing
+half. The sweep resolves that from the declaration and the current
+merge every time, so the split outlives application changes and
+anti-entropy rounds; a split that cannot be resolved fails those OBIs
+instead of deploying the unsplit graph.
 
 **What a sweep shares.** Each application's ``statements()`` is called
 once; the stamped, merged, optimized and validated graph, its
-``to_dict()`` and its canonical digest are computed once per distinct
-applicable list (:class:`~repro.controller.aggregator.SweepApplications`).
+``to_dict()``, its canonical digest and its split halves are computed
+once per distinct applicable list
+(:class:`~repro.controller.aggregator.SweepApplications`).
 
 **What it never keeps.** All of that dies with the sweep object. There
 is no cache between sweeps and therefore no invalidation rule: an
@@ -42,6 +51,7 @@ from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 from repro.controller.aggregator import AggregationResult, SweepApplications
 from repro.controller.apps import OpenBoxApplication
+from repro.core.graph import GraphValidationError
 from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import (
     SetProcessingGraphRequest,
@@ -107,28 +117,79 @@ class FleetSweep:
         self.applications = SweepApplications(controller.applications.values())
 
     def intended(self, handle: "ObiHandle") -> Intent | None:
-        """What should run on ``handle``'s OBI (None: nothing applies)."""
-        result = self.controller.aggregator.aggregate(
-            self.applications, handle.obi_id, handle.segment
-        )
+        """What should run on ``handle``'s OBI (None: nothing applies).
+
+        A split member runs its half of the hardware OBI's merge; an
+        unresolvable split raises :class:`ProtocolError`."""
+        site, segment = self._site(handle)
+        split = self.controller.splits.get(site)
+        if split is None:
+            result = self.controller.aggregator.aggregate(
+                self.applications, site, segment
+            )
+        else:
+            halves = self.halves(site, segment, split)
+            result = halves and halves[handle.obi_id != site]
         if result is None:
             return None
         return Intent(result, *self.applications.wire_form(result))
 
+    def halves(
+        self, hw_obi_id: str, segment: str | None, split: dict[str, Any]
+    ) -> tuple[AggregationResult, AggregationResult] | None:
+        """The merge of ``hw_obi_id`` (in ``segment``) cut by ``split``
+        into its hardware and software halves (None: nothing applies).
+        Raises :class:`ProtocolError` — never falls back to the unsplit
+        graph — when the segment is unknown or the merge cannot be
+        split."""
+        if segment is None:
+            raise ProtocolError(
+                ErrorCode.INVALID_GRAPH,
+                f"split hardware OBI {hw_obi_id!r} has no known segment",
+            )
+        merged = self.controller.aggregator.aggregate(
+            self.applications, hw_obi_id, segment
+        )
+        if merged is None:
+            return None
+        try:
+            return self.applications.split(merged, split)
+        except GraphValidationError as exc:
+            raise ProtocolError(
+                ErrorCode.INVALID_GRAPH,
+                f"cannot split the merged graph of {hw_obi_id!r}: {exc}",
+            ) from exc
+
+    def _site(self, handle: "ObiHandle") -> tuple[str, str | None]:
+        """The OBI whose merge ``handle``'s OBI runs — the hardware OBI
+        of the split it serves in software, else itself — and that
+        OBI's segment (None: not known, live or journaled)."""
+        controller, obi_id = self.controller, handle.obi_id
+        site = next((
+            hw for hw, split in controller.splits.items()
+            if obi_id in split["sw_obi_ids"]
+        ), obi_id)
+        if site == obi_id:
+            return site, handle.segment
+        hardware = controller.obis.get(site)
+        if hardware is not None:
+            return site, hardware.segment
+        return site, controller.expected_obis.get(site, {}).get("segment")
+
     def affected_by(
         self, app: OpenBoxApplication, handles: Iterable["ObiHandle"]
     ) -> list["ObiHandle"]:
-        """The handles one of ``app``'s statements applies to."""
+        """The handles whose merge one of ``app``'s statements applies to."""
         swept, segments = self.applications, self.controller.segments
-        return [
-            handle for handle in handles
-            if any(
+        affected = []
+        for handle in handles:
+            site, segment = self._site(handle)
+            if segment is not None and any(
                 swept.statements[index][0] is app
-                for index in swept.applicable(
-                    handle.obi_id, handle.segment, segments
-                )
-            )
-        ]
+                for index in swept.applicable(site, segment, segments)
+            ):
+                affected.append(handle)
+        return affected
 
     def run(self, handles: Iterable["ObiHandle"]) -> SweepReport:
         """Converge every handle; one failing OBI (recorded via the

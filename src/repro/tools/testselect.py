@@ -669,7 +669,6 @@ ORPHAN_ALLOWLIST = frozenset("""
     LeaseManager.is_leader OpenBoxController.unregister_application
     OpenBoxController.health OpenBoxController.request_telemetry_rewind
     OpenBoxController.attribute_trace OptimizationReport.total_changes
-    PlacementEngine PlacementEngine.remove_candidate PlacementEngine.place_chain
     ReplicationHub.detach ReplicationHub.lag ScalingManager.register_group
     ScalingManager.group_of ObiStatsTracker.all_views ObiStatsTracker.live_obis
     TrafficSteering.register_chain TrafficSteering.set_selector

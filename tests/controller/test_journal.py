@@ -208,9 +208,13 @@ class TestCompaction:
 
     def test_compaction_preserves_state_and_shrinks_file(self, tmp_path):
         journal = make_journal(tmp_path, fsync_every=1, compact_every=4)
+        split = {"sw_obi_ids": ["sw-1", "sw-2"], "classifier": None,
+                 "spi": 3, "trunk_device": "sfc0"}
+        records = [{"rec": "split", "hw_obi_id": "hw", **split}] + [
+            {"rec": "segment", "path": f"seg-{index}"} for index in range(10)
+        ]
         applied = []
-        for index in range(10):
-            record = {"rec": "segment", "path": f"seg-{index}"}
+        for record in records:
             journal.append(record)
             applied.append(record)
             journal.maybe_compact(self.state_of(applied))
@@ -222,6 +226,7 @@ class TestCompaction:
         assert len(lines) < 10
         state = StateJournal.replay(journal.path).state
         assert state.segments == [f"seg-{i}" for i in range(10)]
+        assert state.splits == {"hw": split}
 
     def test_compaction_leaves_no_temp_file(self, tmp_path):
         journal = make_journal(tmp_path, fsync_every=1)

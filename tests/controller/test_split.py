@@ -170,3 +170,188 @@ class TestSplitSemantics:
         nsh = NshHeader.parse(outcome.outputs[0][1].data)
         metadata = MetadataCodec.decode(nsh.openbox_metadata())
         assert metadata[CLASSIFY_RESULT_KEY] == 1  # the alert port
+
+
+def _split_fleet(journal=None, sw_ids=("sw",), sw_segment="corp"):
+    """A firewall app scoped to ``corp``, a ``corp`` hardware OBI and
+    ``sw_ids`` software OBIs in ``sw_segment``, on one controller;
+    ``logic["graph"]`` is what the app declares."""
+    from repro.bootstrap import connect_inproc
+    from repro.controller.apps import AppStatement, FunctionApplication
+    from repro.controller.obc import OpenBoxController
+    from repro.obi.instance import ObiConfig, OpenBoxInstance
+
+    controller = OpenBoxController(journal=journal)
+    logic = {"graph": build_firewall_graph("fw")}
+    app = FunctionApplication(
+        "fw", lambda: [AppStatement(graph=logic["graph"].copy(), segment="corp")],
+        priority=1,
+    )
+    controller.register_application(app)
+    segments = {"hw": "corp", **{obi_id: sw_segment for obi_id in sw_ids}}
+    obis = {
+        obi_id: OpenBoxInstance(ObiConfig(obi_id=obi_id, segment=segment))
+        for obi_id, segment in segments.items()
+    }
+    pairs = {obi_id: connect_inproc(controller, obi) for obi_id, obi in obis.items()}
+    return controller, app, logic, obis, pairs
+
+
+class TestSplitIsIntent:
+    """A split declaration is deployed, kept and restored by the fleet
+    sweep like any other intent (paper §3.1, Figures 5-6)."""
+
+    def test_anti_entropy_keeps_the_split(self):
+        from repro.controller.reconcile import AntiEntropyLoop
+
+        controller, _app, _logic, obis, _pairs = _split_fleet()
+        split = deploy_split(controller, "hw", ["sw"])
+        versions = {obi_id: obi.graph_version for obi_id, obi in obis.items()}
+        for obi in obis.values():
+            obi.send_keepalive()
+
+        report = AntiEntropyLoop(controller).reconcile()
+        assert report.pushed == [] and report.failed == []
+        assert sorted(report.converged) == ["hw", "sw"]
+        assert obis["hw"].graph.name == split.first.name
+        assert obis["sw"].graph.name == split.second.name
+        assert {o: obi.graph_version for o, obi in obis.items()} == versions
+        for obi_id, obi in obis.items():
+            assert controller.obis[obi_id].intended_digest == obi.graph_digest
+
+    def test_recover_adopts_both_halves_without_a_push(self, tmp_path):
+        from repro.bootstrap import reconnect_inproc
+        from repro.controller.journal import StateJournal
+        from repro.controller.obc import OpenBoxController
+
+        path = tmp_path / "obc.journal"
+        controller, app, _logic, obis, pairs = _split_fleet(
+            journal=StateJournal(path, fsync_every=1)
+        )
+        deploy_split(controller, "hw", ["sw"], spi=4)
+        versions = {obi_id: obi.graph_version for obi_id, obi in obis.items()}
+        digests = {obi_id: obi.graph_digest for obi_id, obi in obis.items()}
+
+        recovered = OpenBoxController.recover(str(path), applications=[app])
+        assert recovered.splits == controller.splits
+        for obi_id in ("sw", "hw"):  # software first: hw known from the journal
+            reconnect_inproc(recovered, obis[obi_id], pairs[obi_id])
+
+        assert {o: obi.graph_version for o, obi in obis.items()} == versions
+        assert {o: obi.graph_digest for o, obi in obis.items()} == digests
+        for obi_id in obis:
+            handle = recovered.obis[obi_id]
+            assert handle.intended_digest == digests[obi_id]
+            assert handle.deployed is not None
+
+    def test_app_read_resolves_a_block_of_the_second_half(self):
+        controller, app, _logic, obis, _pairs = _split_fleet()
+        deploy_split(controller, "hw", ["sw"])
+        stage_one = obis["hw"].process_packet(
+            make_tcp_packet("44.4.4.4", "2.2.2.2", 5, 22)
+        )
+        wire = stage_one.outputs[0][1]
+        wire.metadata.clear()
+        assert obis["sw"].process_packet(wire).alerts
+
+        read = controller.app_read(app, "sw", "fw_alert", "count")
+        assert read.ok, read.errors
+        assert read.value == 1
+
+    def test_update_logic_repushes_both_halves(self):
+        # The software OBIs sit where the app does not apply: they run
+        # the hardware OBI's merge, so its changes reach them too.
+        controller, app, logic, obis, _pairs = _split_fleet(
+            sw_ids=("sw1", "sw2"), sw_segment="dmz"
+        )
+        deploy_split(controller, "hw", ["sw1", "sw2"])
+        versions = {obi_id: obi.graph_version for obi_id, obi in obis.items()}
+
+        # New rules for the hardware half, a new alert for the software one.
+        tightened = build_firewall_graph("fw")
+        tightened.blocks["fw_hc"].config["rules"][0]["dst_port"] = [21, 23]
+        tightened.blocks["fw_alert"].config["message"] = "ssh seen"
+        logic["graph"] = tightened
+        app.update_logic()
+
+        assert {o: obi.graph_version - versions[o] for o, obi in obis.items()} == {
+            "hw": 1, "sw1": 1, "sw2": 1,
+        }
+        assert obis["hw"].graph.name.endswith(":classify")
+        assert obis["sw1"].graph.name.endswith(":process")
+        assert obis["sw2"].graph.name.endswith(":process")
+        ftp = make_tcp_packet("10.1.1.1", "2.2.2.2", 5, 21)
+        assert obis["hw"].process_packet(ftp).dropped
+        wire = obis["hw"].process_packet(
+            make_tcp_packet("44.4.4.4", "2.2.2.2", 5, 22)
+        ).outputs[0][1]
+        wire.metadata.clear()
+        alerts = obis["sw2"].process_packet(wire).alerts
+        assert [alert.message for alert in alerts] == ["ssh seen"]
+
+    def test_redeclaring_replaces_the_split(self):
+        controller, _app, _logic, obis, _pairs = _split_fleet(sw_ids=("sw1", "sw2"))
+        deploy_split(controller, "hw", ["sw1", "sw2"])
+        deploy_split(controller, "hw", ["sw1"], spi=8)
+        assert controller.splits == {"hw": {
+            "sw_obi_ids": ["sw1"], "classifier": None, "spi": 8,
+            "trunk_device": "sfc0",
+        }}
+        # sw2 left the split: it runs the unsplit merged graph again.
+        assert obis["sw2"].graph.name == "fw"
+
+    @pytest.mark.parametrize("hw, sw, classifier", [
+        ("ghost", ["sw1"], None),           # unknown hardware OBI
+        ("hw", ["ghost"], None),            # unknown software OBI
+        ("hw", ["hw"], None),               # hardware OBI is also software
+        ("hw", ["sw1", "sw1"], None),       # one OBI twice
+        ("sw2", ["sw1"], None),             # sw1 already in hw's split
+        ("hw", ["sw1"], "alert_3"),         # not a classifier
+        ("hw", ["sw1"], "fw_hc"),           # app name, not the merge's
+    ])
+    def test_declaration_refusals(self, hw, sw, classifier):
+        from repro.protocol.errors import ProtocolError
+
+        controller, _app, _logic, _obis, _pairs = _split_fleet(sw_ids=("sw1", "sw2"))
+        deploy_split(controller, "hw", ["sw1"])
+        declared = dict(controller.splits)
+        with pytest.raises(ProtocolError):
+            deploy_split(controller, hw, sw, classifier_name=classifier)
+        assert controller.splits == declared
+
+    def test_unsplittable_merge_fails_the_split_obis(self):
+        from repro.controller.reconcile import AntiEntropyLoop
+        from repro.core.blocks import Block
+        from repro.core.graph import ProcessingGraph
+
+        controller, _app, logic, obis, _pairs = _split_fleet()
+        split = deploy_split(controller, "hw", ["sw"])
+        versions = {obi_id: obi.graph_version for obi_id, obi in obis.items()}
+        # The firewall loses its classifier: nothing left to split at.
+        bare = ProcessingGraph("fw")
+        bare.add_blocks([
+            Block("FromDevice", name="fw_read", config={"devname": "in"}),
+            Block("ToDevice", name="fw_out", config={"devname": "out"}),
+        ])
+        bare.connect("fw_read", "fw_out")
+        logic["graph"] = bare
+
+        report = AntiEntropyLoop(controller).reconcile()
+        assert report.pushed == []
+        assert sorted(obi_id for obi_id, _reason in report.failed) == ["hw", "sw"]
+        assert {o: obi.graph_version for o, obi in obis.items()} == versions
+        assert obis["hw"].graph.name == split.first.name
+        assert obis["sw"].graph.name == split.second.name
+
+    def test_split_without_a_known_hardware_obi_fails(self):
+        from repro.controller.reconcile import AntiEntropyLoop
+
+        controller, _app, _logic, obis, _pairs = _split_fleet()
+        deploy_split(controller, "hw", ["sw"])
+        version = obis["sw"].graph_version
+        controller.disconnect_obi("hw")
+
+        report = AntiEntropyLoop(controller).reconcile()
+        assert report.pushed == []
+        assert [obi_id for obi_id, _reason in report.failed] == ["sw"]
+        assert obis["sw"].graph_version == version

@@ -1,15 +1,9 @@
-"""Traffic-steering and placement-engine tests."""
+"""Traffic-steering tests."""
 
 import pytest
 
-from repro.controller.placement import (
-    PlacementCandidate,
-    PlacementEngine,
-    PlacementError,
-)
 from repro.controller.steering import ServiceChain, SteeringHop, TrafficSteering
 from repro.net.builder import make_tcp_packet
-from tests.conftest import build_firewall_graph
 
 
 class TestSteeringHop:
@@ -107,67 +101,3 @@ class TestTrafficSteering:
         chain = steering.chains["corp"]
         assert chain.hops[0].replicas == ["fw-1", "fw-2"]
 
-
-class TestPlacementEngine:
-    def _candidates(self):
-        full_caps = {"FromDevice", "ToDevice", "Discard", "HeaderClassifier", "Alert"}
-        return [
-            PlacementCandidate("hw-obi", "corp", {"FromDevice", "ToDevice",
-                                                  "HeaderClassifier"}, capacity=4.0),
-            PlacementCandidate("sw-obi-1", "corp", full_caps, capacity=1.0),
-            PlacementCandidate("sw-obi-2", "corp/eng", full_caps, capacity=1.0),
-        ]
-
-    def test_capability_filtering(self):
-        engine = PlacementEngine(self._candidates())
-        graph = build_firewall_graph()
-        feasible = {c.obi_id for c in engine.feasible(graph)}
-        assert feasible == {"sw-obi-1", "sw-obi-2"}  # hw-obi lacks Alert/Discard
-
-    def test_segment_filter(self):
-        engine = PlacementEngine(self._candidates())
-        graph = build_firewall_graph()
-        feasible = engine.feasible(graph, segment_filter="corp/eng")
-        assert [c.obi_id for c in feasible] == ["sw-obi-2"]
-
-    def test_place_prefers_spare_capacity(self):
-        engine = PlacementEngine(self._candidates())
-        graph = build_firewall_graph()
-        first = engine.place(graph, expected_load=0.9)
-        second = engine.place(build_firewall_graph("fw2"), expected_load=0.9)
-        assert {first.obi_id, second.obi_id} == {"sw-obi-1", "sw-obi-2"}
-
-    def test_colocation_bonus(self):
-        engine = PlacementEngine(self._candidates())
-        first = engine.place(build_firewall_graph("a"), chain="web", expected_load=0.1)
-        second = engine.place(build_firewall_graph("b"), chain="web", expected_load=0.1)
-        assert second.obi_id == first.obi_id
-        assert second.colocated
-
-    def test_no_feasible_raises(self):
-        engine = PlacementEngine([self._candidates()[0]])  # hw only
-        with pytest.raises(PlacementError):
-            engine.place(build_firewall_graph())
-
-    def test_capacity_exhaustion_raises(self):
-        candidate = PlacementCandidate(
-            "tiny", "corp",
-            {"FromDevice", "ToDevice", "Discard", "HeaderClassifier", "Alert"},
-            capacity=0.5,
-        )
-        engine = PlacementEngine([candidate])
-        engine.place(build_firewall_graph("a"), expected_load=0.4)
-        with pytest.raises(PlacementError):
-            engine.place(build_firewall_graph("b"), expected_load=0.4)
-
-    def test_place_chain(self):
-        engine = PlacementEngine(self._candidates())
-        graphs = [build_firewall_graph("a"), build_firewall_graph("b")]
-        decisions = engine.place_chain(graphs, chain="c", expected_load=0.1)
-        assert len(decisions) == 2
-        assert decisions[1].colocated
-
-    def test_remove_candidate(self):
-        engine = PlacementEngine(self._candidates())
-        engine.remove_candidate("sw-obi-1")
-        assert "sw-obi-1" not in engine.candidates

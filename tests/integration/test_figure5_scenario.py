@@ -13,12 +13,12 @@ import pytest
 
 from repro.bootstrap import connect_inproc
 from repro.controller.obc import OpenBoxController
-from repro.controller.split import split_at_classifier
+from repro.controller.reconcile import AntiEntropyLoop
+from repro.controller.split import deploy_split
 from repro.controller.apps import AppStatement, FunctionApplication
 from repro.net.builder import make_tcp_packet
 from repro.net.nsh import NshHeader
 from repro.obi.instance import ObiConfig, OpenBoxInstance
-from repro.protocol.messages import SetProcessingGraphRequest
 from repro.sim.network import SimNetwork
 from tests.conftest import build_firewall_graph, build_ips_graph
 
@@ -47,18 +47,10 @@ def figure5():
     for obi in [hw_obi, *replicas]:
         connect_inproc(controller, obi)
 
-    merged = controller.compute_deployment("hw-obi").graph
-    classifier = next(b.name for b in merged.blocks.values()
-                      if b.type == "HeaderClassifier")
-    split = split_at_classifier(merged, classifier, spi=5, trunk_device="sfc0")
-
-    hw_obi.handle_message(SetProcessingGraphRequest(
-        graph=split.first.to_dict(), epoch=controller.generation
-    ))
-    for obi in replicas:
-        obi.handle_message(SetProcessingGraphRequest(
-            graph=split.second.to_dict(), epoch=controller.generation
-        ))
+    deploy_split(controller, "hw-obi", ["sw-obi-1", "sw-obi-2"],
+                 spi=5, trunk_device="sfc0")
+    # The split is intent: an anti-entropy round keeps it in place.
+    assert AntiEntropyLoop(controller).reconcile().pushed == []
 
     host_b = network.add_host("B")
     network.add_obi("hw-obi", hw_obi)
