@@ -84,14 +84,18 @@ def test_table3_control_plane_rtt(benchmark, rest_pair):
     controller, obi, channel, upstream = rest_pair
     graph_dict = build_firewall_graph("bench_fw").to_dict()
 
+    # The OBI has Hello'd this controller, so it refuses any request not
+    # stamped with the controller's generation (``stale_generation``).
+    epoch = controller.generation
     set_graph_ms = _rtt(
-        lambda: channel.request(SetProcessingGraphRequest(graph=graph_dict),
-                                timeout=30.0),
+        lambda: channel.request(
+            SetProcessingGraphRequest(graph=graph_dict, epoch=epoch), timeout=30.0
+        ),
         rounds=2,
     )
     keepalive_ms = _rtt(lambda: upstream.notify(KeepAlive(obi_id="bench-obi")),
                         rounds=20)
-    stats_ms = _rtt(lambda: channel.request(GlobalStatsRequest()), rounds=20)
+    stats_ms = _rtt(lambda: channel.request(GlobalStatsRequest(epoch=epoch)), rounds=20)
 
     module_counter = [0]
 
@@ -103,6 +107,7 @@ def test_table3_control_plane_rtt(benchmark, rest_pair):
             translation={"element_map": {
                 f"PaddedBlock{module_counter[0]}": "PaddedBlock"}},
         )
+        request.epoch = epoch
         response = channel.request(request)
         assert getattr(response, "ok", False), response
 
@@ -165,4 +170,4 @@ def test_table3_control_plane_rtt(benchmark, rest_pair):
     for index in range(1, module_counter[0] + 1):
         block_registry._types.pop(f"PaddedBlock{index}", None)
 
-    benchmark(lambda: channel.request(GlobalStatsRequest()))
+    benchmark(lambda: channel.request(GlobalStatsRequest(epoch=epoch)))

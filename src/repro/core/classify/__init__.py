@@ -6,8 +6,8 @@ have several implementations, e.g. a software trie or a hardware TCAM):
 
 * :class:`~repro.core.classify.header.LinearMatcher` — reference
   implementation, linear scan by priority;
-* :class:`~repro.core.classify.trie.TrieMatcher` — destination-prefix trie
-  front end with priority-ordered refinement;
+* :class:`~repro.core.classify.trie.TrieMatcher` — the software default:
+  one bitset query over a ``RuleIndex``, first match = lowest set bit;
 * :class:`~repro.core.classify.tcam.TcamMatcher` — simulated TCAM
   (parallel mask/value entries with constant modelled lookup latency).
 

@@ -1,14 +1,18 @@
-"""Rule index: which rules of a set can overlap, or cover, a given rule.
+"""Rule index: which rules of a set overlap or cover a rule, or match a packet.
 
 The classifier merge asks two questions about a rule set over and over:
 the cross product (``compress.merge_classifier_rulesets_on_branch``)
 needs every rule whose intersection with a given rule is non-empty, and
 shadow pruning (:meth:`HeaderRuleSet.prune_shadowed`) needs to know
 whether any earlier kept rule covers a given rule. Asked by trying every
-rule, both are quadratic in the rule count.
+rule, both are quadratic in the rule count. The data plane asks a third:
+which rules match this packet (:class:`~repro.core.classify.trie.TrieMatcher`).
+A packet is a rule whose every field is one point, so that is a coverage
+query too, and the first match is the lowest set bit of the answer — the
+bit-vector scheme of Lakshman & Stiliadis (SIGCOMM '98).
 
-:class:`RuleIndex` answers both exactly, as Python-int bitsets over rule
-positions (bit ``i`` is ``rules[i]``). Every match field has its own
+:class:`RuleIndex` answers all three exactly, as Python-int bitsets over
+rule positions (bit ``i`` is ``rules[i]``). Every match field has its own
 exact sub-index, and a query ANDs the per-field answers:
 
 * exact fields (proto, vlan, dscp): the wildcard rules, plus a dict from
@@ -17,11 +21,11 @@ exact sub-index, and a query ANDs the per-field answers:
   rules whose ``lo`` is at most it, and the distinct ``hi`` values sorted,
   each with the OR of all rules whose ``hi`` is at least it — two bisects
   per query;
-* prefixes: an anchor dict ``(mask, value) → rules`` answers "which rules
-  contain this prefix" with one lookup per distinct mask, and the distinct
-  values sorted answer "which rules lie inside it" with two bisects and an
-  OR over the slice. Prefixes are contiguous masks over canonical values,
-  which is what :meth:`Prefix.parse` builds.
+* prefixes: an anchor table ``mask → value → rules`` answers "which rules
+  contain this prefix (or address)" with one dict probe per distinct mask,
+  and the distinct values sorted answer "which rules lie inside it" with
+  two bisects and an OR over the slice. Prefixes are contiguous masks over
+  canonical values, which is what :meth:`Prefix.parse` builds.
 
 Reading the bits of an answer in ascending order visits rules in set
 order, so a loop over the answer sees the same rules, in the same order,
@@ -34,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 from repro.core.classify.rules import HeaderRule, PortRange, Prefix
+from repro.net.packet import Packet
 
 _HOST_BITS = 0xFFFFFFFF
 
@@ -109,32 +114,42 @@ class _RangeIndex:
     def covering(self, port_range: PortRange) -> int:
         return self._lo_at_most(port_range.lo) & self._hi_at_least(port_range.hi)
 
+    def containing(self, port: int) -> int:
+        return self._lo_at_most(port) & self._hi_at_least(port)
+
 
 class _PrefixIndex:
     """An IPv4 prefix: rules containing it, and rules inside it."""
 
-    __slots__ = ("anchors", "masks", "values", "by_value")
+    __slots__ = ("anchors", "values", "by_value")
 
     def __init__(self, prefixes: Sequence[Prefix]) -> None:
-        self.anchors: dict[tuple[int, int], int] = {}
+        anchors: dict[int, dict[int, int]] = {}
         by_value: dict[int, int] = {}
         for position, prefix in enumerate(prefixes):
             bit = 1 << position
-            key = (prefix.mask, prefix.value)
-            self.anchors[key] = self.anchors.get(key, 0) | bit
+            at_mask = anchors.setdefault(prefix.mask, {})
+            at_mask[prefix.value] = at_mask.get(prefix.value, 0) | bit
             by_value[prefix.value] = by_value.get(prefix.value, 0) | bit
-        # Numeric mask order is length order for contiguous masks.
-        self.masks = sorted({mask for mask, _value in self.anchors})
+        # Shortest mask first: numeric order is length order for
+        # contiguous masks.
+        self.anchors = {mask: anchors[mask] for mask in sorted(anchors)}
         self.values = sorted(by_value)
         self.by_value = [by_value[value] for value in self.values]
 
     def covering(self, prefix: Prefix) -> int:
         bits = 0
-        anchors = self.anchors
-        for mask in self.masks:
+        for mask, at_mask in self.anchors.items():
             if mask > prefix.mask:
                 break
-            bits |= anchors.get((mask, prefix.value & mask), 0)
+            bits |= at_mask.get(prefix.value & mask, 0)
+        return bits
+
+    def containing(self, address: int) -> int:
+        """The rules whose prefix holds ``address`` (a /32 ``covering``)."""
+        bits = 0
+        for mask, at_mask in self.anchors.items():
+            bits |= at_mask.get(address & mask, 0)
         return bits
 
     def overlapping(self, prefix: Prefix, everything: int) -> int:
@@ -151,10 +166,11 @@ class _PrefixIndex:
 
 
 class RuleIndex:
-    """Exact overlap and coverage queries over a fixed rule sequence."""
+    """Exact overlap, coverage and packet queries over a fixed rule sequence."""
 
     __slots__ = (
         "everything", "proto", "vlan", "dscp", "src_port", "dst_port", "src", "dst",
+        "any_ports", "catch_all",
     )
 
     def __init__(self, rules: Sequence[HeaderRule]) -> None:
@@ -166,6 +182,28 @@ class RuleIndex:
         self.dst_port = _RangeIndex([rule.dst_port for rule in rules])
         self.src = _PrefixIndex([rule.src for rule in rules])
         self.dst = _PrefixIndex([rule.dst for rule in rules])
+        # The rules a packet without an L4 header can match, and the
+        # rules a non-IPv4 frame can match (``HeaderRule.is_catch_all``).
+        self.any_ports = (
+            self.src_port.covering(PortRange.ANY) & self.dst_port.covering(PortRange.ANY)
+        )
+        self.catch_all = self.covering(HeaderRule(), self.everything)
+
+    def matching(self, packet: Packet) -> int:
+        """Every indexed rule that :meth:`HeaderRule.matches` ``packet``."""
+        ipv4 = packet.ipv4
+        if ipv4 is None:
+            return self.catch_all
+        bits = self.dst.containing(ipv4.dst) & self.src.containing(ipv4.src)
+        bits &= self.proto.covering(ipv4.proto) & self.dscp.covering(ipv4.dscp)
+        eth = packet.eth
+        tag = eth.vlan if eth is not None else None
+        bits &= self.vlan.covering(tag.vid if tag is not None else None)
+        l4 = packet.l4
+        if l4 is None:
+            return bits & self.any_ports
+        bits &= self.src_port.containing(l4.src_port)
+        return bits & self.dst_port.containing(l4.dst_port)
 
     def overlapping(self, rule: HeaderRule) -> int:
         """Every indexed rule whose intersection with ``rule`` is non-empty."""

@@ -1,73 +1,30 @@
-"""Software header classifier: destination-prefix trie front end.
+"""Software header classifier: one bitset query over a :class:`RuleIndex`.
 
-This is the "trie in software" implementation the paper contrasts with a
-hardware TCAM (§2.1). The trie indexes rules by destination prefix; a
-lookup walks the destination address bit-by-bit collecting all candidate
-rules whose destination prefix covers the packet, then refines by
-priority-ordered scan over that (usually small) candidate list.
-
-First-match semantics are identical to :class:`LinearMatcher`; only the
-cost profile differs.
+The software implementation the paper contrasts with a TCAM (§2.1),
+advertised as ``"trie"``. A lookup asks the rule set's index which rules
+match the packet and takes the lowest set bit: first-match semantics
+identical to :class:`LinearMatcher`, at a different cost.
 """
 
 from __future__ import annotations
 
 from repro.core.classify.header import HeaderRuleSet
-from repro.core.classify.rules import HeaderRule
+from repro.core.classify.index import RuleIndex
 from repro.net.packet import Packet
 
 
-class _TrieNode:
-    __slots__ = ("children", "rules")
-
-    def __init__(self) -> None:
-        self.children: list["_TrieNode | None"] = [None, None]
-        # (priority, rule) pairs anchored at exactly this prefix.
-        self.rules: list[tuple[int, HeaderRule]] = []
-
-
 class TrieMatcher:
-    """Binary trie on the destination prefix with per-node rule lists."""
+    """First match as the lowest rule in :meth:`RuleIndex.matching`."""
 
     implementation = "trie"
 
     def __init__(self, ruleset: HeaderRuleSet) -> None:
         self.ruleset = ruleset
-        self._root = _TrieNode()
-        for priority, rule in enumerate(ruleset.rules):
-            self._insert(priority, rule)
-
-    def _insert(self, priority: int, rule: HeaderRule) -> None:
-        node = self._root
-        prefix_len = rule.dst.prefix_len
-        value = rule.dst.value
-        for depth in range(prefix_len):
-            bit = (value >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        node.rules.append((priority, rule))
+        self._index = RuleIndex(ruleset.rules)
+        self._ports = [rule.port for rule in ruleset.rules]
 
     def match(self, packet: Packet) -> int:
-        ipv4 = packet.ipv4
-        if ipv4 is None:
-            # Non-IP packets can only hit catch-all rules, which live at
-            # the root (prefix length 0).
-            candidates = list(self._root.rules)
-        else:
-            candidates = list(self._root.rules)
-            node = self._root
-            address = ipv4.dst
-            for depth in range(32):
-                bit = (address >> (31 - depth)) & 1
-                node = node.children[bit]
-                if node is None:
-                    break
-                candidates.extend(node.rules)
-        candidates.sort(key=lambda item: item[0])
-        for _priority, rule in candidates:
-            if rule.matches(packet):
-                return rule.port
-        return self.ruleset.default_port
+        bits = self._index.matching(packet)
+        if not bits:
+            return self.ruleset.default_port
+        return self._ports[(bits & -bits).bit_length() - 1]

@@ -2,9 +2,9 @@
 
 The HeaderClassifier element demonstrates the protocol's implementation
 selection (paper §2.1): the abstract block can be realized by a linear
-scan, a software trie, or a simulated TCAM; the controller picks via the
-block's ``implementation`` attribute, or the OBI applies its default
-(the trie).
+scan, a software index query (``"trie"``), or a simulated TCAM; the
+controller picks via the block's ``implementation`` attribute, or the
+OBI applies its default (``"trie"``).
 """
 
 from __future__ import annotations
