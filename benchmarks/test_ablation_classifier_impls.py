@@ -12,7 +12,7 @@ import time
 import pytest
 
 from benchmarks.conftest import write_result
-from repro.core.classify.header import HeaderRuleSet, LinearMatcher
+from repro.core.classify.header import LinearMatcher
 from repro.core.classify.tcam import TcamMatcher
 from repro.core.classify.trie import TrieMatcher
 from repro.sim.costmodel import CostModel, VmSpec, measure_engine
@@ -25,7 +25,7 @@ def ruleset(paper_workload):
     classifier = next(
         block for block in graph.blocks.values() if block.type == "HeaderClassifier"
     )
-    return HeaderRuleSet.from_config(classifier.config)
+    return classifier.config["rules"]
 
 
 def _modelled_throughput(app, packets, implementation):

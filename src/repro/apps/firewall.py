@@ -19,7 +19,7 @@ deny rules raise alerts instead of dropping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.controller.apps import AppStatement, OpenBoxApplication
 from repro.core.blocks import Block
@@ -125,9 +125,7 @@ class FirewallApp(OpenBoxApplication):
                 port = self.PORT_ALERT if self.alert_only else self.PORT_DENY
             else:
                 port = self.PORT_ALERT
-            entry = rule.match.to_dict()
-            entry["port"] = port
-            classifier_rules.append(entry)
+            classifier_rules.append(replace(rule.match, port=port))
 
         read = Block("FromDevice", name=f"{self.name}_read",
                      config={"devname": self.in_device}, origin_app=self.name)
@@ -146,7 +144,7 @@ class FirewallApp(OpenBoxApplication):
         graph.add_blocks([read, classify, out])
         graph.connect(read, classify)
         graph.connect(classify, out, self.PORT_ALLOW)
-        used_ports = {rule["port"] for rule in classifier_rules}
+        used_ports = {rule.port for rule in classifier_rules}
         if self.PORT_ALERT in used_ports:
             graph.add_block(alert)
             graph.connect(classify, alert, self.PORT_ALERT)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.controller.apps import AppStatement, OpenBoxApplication
 from repro.core.blocks import Block
+from repro.core.classify.header import HeaderRuleSet
 from repro.core.classify.rules import HeaderRule, PortRange, Prefix
 from repro.core.graph import ProcessingGraph
 from repro.net.ip import IpProto
@@ -194,7 +195,7 @@ class IpsApp(OpenBoxApplication):
         graph.add_blocks([read, out])
 
         groups = self._groups()
-        header_rules: list[dict] = []
+        header_rules: list[HeaderRule] = []
         classify = Block(
             "HeaderClassifier",
             name=f"{self.name}_classify",
@@ -225,17 +226,7 @@ class IpsApp(OpenBoxApplication):
         for group_index, (key, rules) in enumerate(sorted(groups.items(),
                                                           key=lambda kv: str(kv[0]))):
             group_port = group_index + 1
-            representative = rules[0]
-            header_rules.append(
-                HeaderRule(
-                    proto=representative.proto,
-                    src=representative.src,
-                    dst=representative.dst,
-                    dst_port=representative.dst_port,
-                    src_port=representative.src_port,
-                    port=group_port,
-                ).to_dict()
-            )
+            header_rules.append(rules[0].header_rule(group_port))
             patterns = []
             regex = Block(
                 "RegexClassifier",
@@ -286,7 +277,7 @@ class IpsApp(OpenBoxApplication):
                 else:
                     graph.connect(alert, out)
 
-        classify.config["rules"] = header_rules
+        classify.config["rules"] = HeaderRuleSet(header_rules)
         graph.validate()
         return graph
 

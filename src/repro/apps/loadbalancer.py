@@ -80,7 +80,7 @@ class LoadBalancerApp(OpenBoxApplication):
             "HeaderClassifier",
             name=f"{self.name}_classify",
             config={
-                "rules": [rule.to_dict() for rule in rules],
+                "rules": rules,
                 "default_port": 0,
             },
             origin_app=self.name,

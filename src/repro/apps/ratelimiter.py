@@ -51,7 +51,7 @@ class RateLimiterApp(OpenBoxApplication):
         out = Block("ToDevice", name=f"{self.name}_out",
                     config={"devname": self.out_device}, origin_app=self.name)
         rules = [
-            HeaderRule(src=Prefix.parse(cidr), port=index + 1).to_dict()
+            HeaderRule(src=Prefix.parse(cidr), port=index + 1)
             for index, (cidr, _bps) in enumerate(self.limits)
         ]
         classify = Block(

@@ -43,6 +43,7 @@ from repro.controller.reconcile import AntiEntropyLoop
 from repro.controller.replication import ReplicationHub, StandbyController
 from repro.controller.scaling import ScalingManager, ScalingPolicy
 from repro.core.blocks import Block
+from repro.core.classify.rules import HeaderRule, PortRange
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
@@ -62,7 +63,7 @@ def _fw_graph(name: str = "fw") -> ProcessingGraph:
         "HeaderClassifier",
         name=f"{name}_hc",
         config={
-            "rules": [{"dst_port": [23, 23], "port": 0}],
+            "rules": [HeaderRule(dst_port=PortRange.exact(23), port=0)],
             "default_port": 1,
         },
         origin_app=name,
@@ -85,7 +86,7 @@ def _ips_graph(name: str = "ips") -> ProcessingGraph:
         "HeaderClassifier",
         name=f"{name}_hc",
         config={
-            "rules": [{"dst_port": [22, 22], "port": 0}],
+            "rules": [HeaderRule(dst_port=PortRange.exact(22), port=0)],
             "default_port": 1,
         },
         origin_app=name,

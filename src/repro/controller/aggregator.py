@@ -20,6 +20,7 @@ from itertools import groupby
 from typing import Any, Iterable
 
 from repro.controller.apps import AppStatement, OpenBoxApplication
+from repro.controller.optimizer import optimize_graph
 from repro.controller.segments import SegmentHierarchy
 from repro.controller.split import split_at_classifier
 from repro.core.graph import ProcessingGraph, canonical_graph_digest
@@ -169,12 +170,9 @@ class GraphAggregator:
         self,
         hierarchy: SegmentHierarchy,
         policy: MergePolicy | None = None,
-        optimize: bool = True,
     ) -> None:
         self.hierarchy = hierarchy
         self.policy = policy or MergePolicy()
-        #: Apply the §6 control-level optimizations to deployable graphs.
-        self.optimize = optimize
 
     def aggregate(
         self,
@@ -225,9 +223,7 @@ class GraphAggregator:
         # Copy so the deployed graph never aliases an application's own
         # statement graph (applications may mutate theirs later).
         final = run_graphs[0].copy() if len(run_graphs) == 1 else naive_merge(run_graphs)
-        if self.optimize:
-            from repro.controller.optimizer import optimize_graph
-            optimize_graph(final)
+        optimize_graph(final)
         final.validate()
         return AggregationResult(
             graph=_named_by_position(final),

@@ -9,14 +9,15 @@ compression pass, which needs tree form) and are applied by the
 controller to each deployable graph:
 
 * **rule pruning** — each HeaderClassifier's rule set is run through
-  duplicate/shadow elimination;
+  duplicate/shadow elimination, and the ports no rule (nor the default)
+  maps to are cut;
 * **no-op elision** — blocks that provably do nothing (empty SetMetadata,
   substitution-less rewriters, zero DelayShaper, pass-through Tee) are
   spliced out;
 * **trivial-classifier elision** — a classifier with no rules routes
   every packet to its default port: replace with a direct edge;
-* **dead-branch pruning** — classifier ports no rule (nor the default)
-  maps to, and blocks unreachable from the entry, are removed.
+* **dead-branch pruning** — blocks unreachable from the entry are
+  removed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.blocks import Block
-from repro.core.classify.header import HeaderRuleSet
 from repro.core.graph import ProcessingGraph
 
 
@@ -76,18 +76,21 @@ def _splice_out(graph: ProcessingGraph, name: str) -> bool:
 
 
 def _prune_classifier_rules(graph: ProcessingGraph, report: OptimizationReport) -> None:
-    for block in graph.blocks.values():
+    """Prune each classifier's rules, then cut the ports no rule (nor the
+    default) maps to any more."""
+    for name, block in graph.blocks.items():
         if block.type != "HeaderClassifier":
             continue
-        ruleset = HeaderRuleSet.from_config(block.config)
-        pruned = ruleset.prune_shadowed().prune_default_tail()
-        removed = len(ruleset) - len(pruned)
+        pruned = block.config["rules"].pruned
+        removed = len(block.config["rules"]) - len(pruned)
         if removed > 0:
-            block.config.update(pruned.to_config())
+            block.config["rules"] = pruned
             report.rules_pruned += removed
-            report.details.append(
-                f"pruned {removed} shadowed/duplicate rules from {block.name}"
-            )
+            report.details.append(f"pruned {removed} shadowed/duplicate rules from {name}")
+        for connector in graph.out_connectors(name):
+            if connector.src_port not in pruned.used_ports:
+                graph.remove_connector(connector)
+                report.details.append(f"cut dead port {connector.src_port} of {name}")
 
 
 def _remove_noops(graph: ProcessingGraph, report: OptimizationReport) -> None:
@@ -111,16 +114,13 @@ def _remove_trivial_classifiers(
         block = graph.blocks.get(name)
         if block is None or block.type != "HeaderClassifier":
             continue
-        if block.config.get("rules"):
+        rules = block.config["rules"]
+        if rules:
             continue
-        default = int(block.config.get("default_port", 0))
-        child = graph.successor_on_port(name, default)
+        # Rule pruning cut every port but the default: the splice is unambiguous.
+        child = graph.successor_on_port(name, rules.default_port)
         if child is None:
             continue
-        # Detach non-default children first so the splice is unambiguous.
-        for connector in graph.out_connectors(name):
-            if connector.src_port != default:
-                graph.remove_connector(connector)
         for connector in graph.in_connectors(name):
             graph.remove_connector(connector)
             graph.connect(connector.src, child, connector.src_port)
@@ -130,20 +130,7 @@ def _remove_trivial_classifiers(
 
 
 def _prune_dead(graph: ProcessingGraph, report: OptimizationReport) -> None:
-    # Dead classifier ports: no rule (and not the default) maps there.
-    for name in list(graph.blocks):
-        block = graph.blocks.get(name)
-        if block is None or block.type != "HeaderClassifier":
-            continue
-        live = {int(rule.get("port", 0)) for rule in block.config.get("rules", ())}
-        live.add(int(block.config.get("default_port", 0)))
-        for connector in graph.out_connectors(name):
-            if connector.src_port not in live:
-                graph.remove_connector(connector)
-                report.details.append(
-                    f"cut dead port {connector.src_port} of {name}"
-                )
-    # Unreachable blocks.
+    """Remove the blocks no longer reachable from the entry."""
     roots = graph.roots()
     entry_roots = [
         name for name in roots

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.blocks import BlockClass
-from repro.core.classify.header import HeaderRuleSet
 from repro.core.concat import ABSORBING_TERMINALS, OUTPUT_TERMINALS
 from repro.core.graph import GraphValidationError, ProcessingGraph
 
@@ -111,7 +110,7 @@ def verify_graph(graph: ProcessingGraph) -> VerificationReport:
     for block in graph.blocks.values():
         if block.type != "HeaderClassifier":
             continue
-        ruleset = HeaderRuleSet.from_config(block.config)
+        ruleset = block.config["rules"]
         pruned = ruleset.prune_shadowed()
         shadowed = len(ruleset) - len(pruned)
         if shadowed:
@@ -119,7 +118,7 @@ def verify_graph(graph: ProcessingGraph) -> VerificationReport:
                         f"{shadowed} rule(s) can never fire (shadowed or duplicate)")
 
         wired = {connector.src_port for connector in graph.out_connectors(block.name)}
-        declared = ruleset.used_ports()
+        declared = ruleset.used_ports
         for port in declared - wired:
             report._add("warning", "dangling-port", block.name,
                         f"port {port} is declared by rules but not wired: "
@@ -129,10 +128,7 @@ def verify_graph(graph: ProcessingGraph) -> VerificationReport:
                         f"port {port} is wired but no rule maps to it")
 
         # Blackhole: the effective catch-all leads (only) to absorption.
-        catch_all_port = next(
-            (rule.port for rule in ruleset.rules if rule.is_catch_all),
-            ruleset.default_port,
-        )
+        catch_all_port = ruleset.catch_all_port
         successor = graph.successor_on_port(block.name, catch_all_port)
         if successor is not None:
             successor_block = graph.blocks[successor]

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.classify.header import HeaderRuleSet
+
 
 class BlockClass:
     """The five block classes of paper §2.2.1."""
@@ -33,6 +35,9 @@ class BlockClass:
 
     ALL = (TERMINAL, CLASSIFIER, MODIFIER, SHAPER, STATIC)
 
+
+#: Block types whose ``config["rules"]`` is a :class:`HeaderRuleSet` value.
+HEADER_RULE_TYPES = ("HeaderClassifier", "VlanClassifier")
 
 #: Sentinel: the block's output-port count depends on its configuration
 #: (e.g. one port per classification rule).
@@ -80,6 +85,8 @@ class BlockTypeSpec:
             return int(config["ports"])  # Tee-style explicit port count
         ports: set[int] = set()
         rules = config.get("rules", config.get("patterns", []))
+        if isinstance(rules, HeaderRuleSet):
+            return rules.num_ports
         if isinstance(rules, dict):
             ports.update(int(port) for port in rules.values())
         else:
@@ -412,6 +419,10 @@ class Block:
         ]
         if missing:
             raise ValueError(f"block {self.name} ({self.type}) missing config: {missing}")
+        if self.type in HEADER_RULE_TYPES:
+            rules = HeaderRuleSet.parse(self.config["rules"], self.config.get("default_port", 0))
+            if rules is not self.config["rules"]:
+                self.config = {**self.config, "rules": rules}
 
     @property
     def spec(self) -> BlockTypeSpec:
@@ -426,7 +437,8 @@ class Block:
         return self.spec.output_ports(self.config)
 
     def clone(self, name: str | None = None) -> "Block":
-        """Copy the block (fresh generated name unless one is given)."""
+        """Copy the block (fresh generated name unless one is given): config
+        lists and dicts are copied, immutable values such as rules shared."""
         return Block(
             type=self.type,
             name=name or f"{self.type.lower()}_{next(_block_ids)}",

@@ -6,27 +6,48 @@ duplicate rules caused by the cross-product and empty rules caused by
 priority considerations". The cross product lives in
 :func:`repro.core.compress.merge_classifier_rulesets_on_branch`; the
 removal steps are :meth:`HeaderRuleSet.prune_shadowed` and
-:meth:`HeaderRuleSet.prune_default_tail`.
+:meth:`HeaderRuleSet.prune_default_tail`, run once per value as
+:attr:`HeaderRuleSet.pruned`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Iterable
 
 from repro.core.classify.index import RuleIndex
 from repro.core.classify.rules import HeaderRule
 from repro.net.packet import Packet
 
 
+@dataclass(frozen=True)
 class HeaderRuleSet:
-    """An ordered (priority-descending) list of :class:`HeaderRule`.
+    """A classifier's rules as one immutable value: :class:`HeaderRule` in
+    priority order, and the ``default_port`` of packets matching none.
 
-    ``default_port`` is where packets matching no rule are emitted.
+    What a HeaderClassifier or VlanClassifier config's ``rules`` holds:
+    parsed once where dicts enter (:meth:`parse`), shared by every copy,
+    turned back into dicts only by :func:`json_default`. What it derives
+    is computed at most once.
     """
 
-    def __init__(self, rules: Sequence[HeaderRule], default_port: int = 0) -> None:
-        self.rules = list(rules)
-        self.default_port = default_port
+    rules: tuple[HeaderRule, ...] = ()
+    default_port: int = 0
+    #: True on a value :attr:`pruned` made: it is its own pruned form.
+    is_pruned: bool = field(default=False, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
+
+    @classmethod
+    def parse(cls, rules: Iterable[Any], default_port: int = 0) -> "HeaderRuleSet":
+        """The value of a rule list: wire dicts are parsed, rules kept, and
+        a value with this ``default_port`` passes through as it is."""
+        if isinstance(rules, HeaderRuleSet) and rules.default_port == default_port:
+            return rules
+        return cls([rule if isinstance(rule, HeaderRule) else HeaderRule.from_dict(rule)
+                    for rule in rules], int(default_port))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -34,17 +55,10 @@ class HeaderRuleSet:
     def __iter__(self):
         return iter(self.rules)
 
-    @classmethod
-    def from_config(cls, config: dict[str, Any]) -> "HeaderRuleSet":
-        """Build from a HeaderClassifier block's config dict."""
-        rules = [HeaderRule.from_dict(item) for item in config.get("rules", ())]
-        return cls(rules, default_port=int(config.get("default_port", 0)))
-
-    def to_config(self) -> dict[str, Any]:
-        return {
-            "rules": [rule.to_dict() for rule in self.rules],
-            "default_port": self.default_port,
-        }
+    @cached_property
+    def wire(self) -> list[dict[str, Any]]:
+        """The protocol's rule list, one dict per rule. Shared: read-only."""
+        return [rule.to_dict() for rule in self.rules]
 
     def classify(self, packet: Packet) -> int:
         """First-match classification; returns the output port."""
@@ -53,13 +67,32 @@ class HeaderRuleSet:
                 return rule.port
         return self.default_port
 
-    def used_ports(self) -> set[int]:
-        ports = {rule.port for rule in self.rules}
-        ports.add(self.default_port)
-        return ports
+    @cached_property
+    def used_ports(self) -> frozenset[int]:
+        return frozenset(rule.port for rule in self.rules) | {self.default_port}
 
+    @cached_property
     def num_ports(self) -> int:
-        return max(self.used_ports()) + 1
+        return max(self.used_ports) + 1
+
+    @cached_property
+    def catch_all_port(self) -> int:
+        """The port of the first rule matching every packet, else the default."""
+        return next((rule.port for rule in self.rules if rule.is_catch_all), self.default_port)
+
+    @property
+    def pruned(self) -> "HeaderRuleSet":
+        """Shadowed rules, then the default tail, dropped. Computed once per
+        value, and a pruned value is its own, so no rule set is pruned twice
+        (and no value refers to itself, which would leave it to the cycle
+        collector)."""
+        return self if self.is_pruned else self._pruned
+
+    @cached_property
+    def _pruned(self) -> "HeaderRuleSet":
+        pruned = self.prune_shadowed().prune_default_tail()
+        object.__setattr__(pruned, "is_pruned", True)
+        return pruned
 
     def prune_shadowed(self) -> "HeaderRuleSet":
         """Drop rules that can never be the first match.
@@ -90,6 +123,13 @@ class HeaderRuleSet:
         while rules and rules[-1].port == self.default_port:
             rules.pop()
         return HeaderRuleSet(rules, self.default_port)
+
+
+def json_default(value: Any) -> Any:
+    """The ``json.dumps`` hook turning a rule value into its wire list."""
+    if isinstance(value, HeaderRuleSet):
+        return value.wire
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class LinearMatcher:

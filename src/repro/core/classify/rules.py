@@ -215,10 +215,6 @@ class HeaderRule:
             and _covers_exact(self.dscp, other.dscp)
         )
 
-    def same_match(self, other: "HeaderRule") -> bool:
-        """True if the two rules match exactly the same packet set."""
-        return self.covers(other) and other.covers(self)
-
     # ------------------------------------------------------------------
     # Serialization (the protocol wire format for rule configs)
     # ------------------------------------------------------------------

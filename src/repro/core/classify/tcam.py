@@ -16,6 +16,7 @@ prefix-masks covering the range, as real TCAM compilers do; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from repro.core.classify.header import HeaderRuleSet
 from repro.core.classify.rules import HeaderRule, PortRange
@@ -49,36 +50,29 @@ class TcamEntry:
     value: int
     mask: int
     port: int
-    priority: int
 
 
-# Key layout: src_ip(32) | dst_ip(32) | src_port(16) | dst_port(16) |
-#             proto(8) | vlan(16) | dscp(8) — 128 bits total.
-_KEY_WIDTH = 128
-
-
-def _pack_key(src_ip: int, dst_ip: int, src_port: int, dst_port: int,
-              proto: int, vlan: int, dscp: int) -> int:
+# Key layout: src_ip(32) | dst_ip(32) | l4(1) | src_port(16) |
+#             dst_port(16) | proto(8) | tagged(1) | vlan(16) | dscp(8)
+# — 130 bits. ``l4`` and ``tagged`` are the valid bits a real TCAM key
+# builder carries: a frame without an L4 header (or without an 802.1Q
+# tag) keys them 0, so no port (or vid) entry can hit it as 0.
+def _pack_key(src_ip: int, dst_ip: int, l4: int, src_port: int, dst_port: int,
+              proto: int, tagged: int, vlan: int, dscp: int) -> int:
     key = src_ip
     key = (key << 32) | dst_ip
+    key = (key << 1) | l4
     key = (key << 16) | src_port
     key = (key << 16) | dst_port
     key = (key << 8) | proto
+    key = (key << 1) | tagged
     key = (key << 16) | vlan
     key = (key << 8) | dscp
     return key
 
 
-def _exact_field(value: int | None, width: int) -> list[tuple[int, int]]:
-    if value is None:
-        return [(0, 0)]
-    return [(value, (1 << width) - 1)]
-
-
-def _port_field(port_range: PortRange) -> list[tuple[int, int]]:
-    if port_range == PortRange.ANY:
-        return [(0, 0)]
-    return range_to_prefix_masks(port_range.lo, port_range.hi)
+def _exact_field(value: int | None, width: int) -> tuple[int, int]:
+    return (0, 0) if value is None else (value, (1 << width) - 1)
 
 
 class TcamMatcher:
@@ -86,14 +80,12 @@ class TcamMatcher:
 
     implementation = "tcam"
 
-    #: Modelled lookup latency in cycles, independent of entry count.
-    LOOKUP_CYCLES = 1
-
     def __init__(self, ruleset: HeaderRuleSet, capacity: int | None = None) -> None:
         self.ruleset = ruleset
+        #: In rule order, so the first hit is the highest-priority one.
         self.entries: list[TcamEntry] = []
-        for priority, rule in enumerate(ruleset.rules):
-            self._expand(priority, rule)
+        for rule in ruleset.rules:
+            self._expand(rule)
         if capacity is not None and len(self.entries) > capacity:
             raise ValueError(
                 f"ruleset needs {len(self.entries)} TCAM entries, "
@@ -104,27 +96,23 @@ class TcamMatcher:
     def entry_count(self) -> int:
         return len(self.entries)
 
-    def _expand(self, priority: int, rule: HeaderRule) -> None:
-        src_pairs = [(rule.src.value, rule.src.mask)]
-        dst_pairs = [(rule.dst.value, rule.dst.mask)]
-        sport_pairs = _port_field(rule.src_port)
-        dport_pairs = _port_field(rule.dst_port)
-        proto_pairs = _exact_field(rule.proto, 8)
-        vlan_pairs = _exact_field(rule.vlan, 16)
-        dscp_pairs = _exact_field(rule.dscp, 8)
-        for src_v, src_m in src_pairs:
-            for dst_v, dst_m in dst_pairs:
-                for sp_v, sp_m in sport_pairs:
-                    for dp_v, dp_m in dport_pairs:
-                        for pr_v, pr_m in proto_pairs:
-                            for vl_v, vl_m in vlan_pairs:
-                                for ds_v, ds_m in dscp_pairs:
-                                    self.entries.append(TcamEntry(
-                                        value=_pack_key(src_v, dst_v, sp_v, dp_v, pr_v, vl_v, ds_v),
-                                        mask=_pack_key(src_m, dst_m, sp_m, dp_m, pr_m, vl_m, ds_m),
-                                        port=rule.port,
-                                        priority=priority,
-                                    ))
+    def _expand(self, rule: HeaderRule) -> None:
+        l4 = int(rule.src_port != PortRange.ANY or rule.dst_port != PortRange.ANY)
+        tagged = int(rule.vlan is not None)
+        pr_v, pr_m = _exact_field(rule.proto, 8)
+        vl_v, vl_m = _exact_field(rule.vlan, 16)
+        ds_v, ds_m = _exact_field(rule.dscp, 8)
+        for (sp_v, sp_m), (dp_v, dp_m) in product(
+            range_to_prefix_masks(rule.src_port.lo, rule.src_port.hi),
+            range_to_prefix_masks(rule.dst_port.lo, rule.dst_port.hi),
+        ):
+            self.entries.append(TcamEntry(
+                value=_pack_key(rule.src.value, rule.dst.value, l4, sp_v, dp_v,
+                                pr_v, tagged, vl_v, ds_v),
+                mask=_pack_key(rule.src.mask, rule.dst.mask, l4, sp_m, dp_m,
+                               pr_m, tagged, vl_m, ds_m),
+                port=rule.port,
+            ))
 
     def _key_of(self, packet: Packet) -> int | None:
         ipv4 = packet.ipv4
@@ -136,9 +124,11 @@ class TcamMatcher:
         return _pack_key(
             ipv4.src,
             ipv4.dst,
+            int(l4 is not None),
             l4.src_port if l4 is not None else 0,
             l4.dst_port if l4 is not None else 0,
             ipv4.proto,
+            int(vlan_tag is not None),
             vlan_tag.vid if vlan_tag is not None else 0,
             ipv4.dscp,
         )
@@ -146,15 +136,8 @@ class TcamMatcher:
     def match(self, packet: Packet) -> int:
         key = self._key_of(packet)
         if key is None:
-            # Non-IP: only rules that are full wildcards can match; fall
-            # back to exact semantics via the rule objects.
-            for rule in self.ruleset.rules:
-                if rule.matches(packet):
-                    return rule.port
-            return self.ruleset.default_port
-        best: TcamEntry | None = None
+            return self.ruleset.catch_all_port  # a non-IPv4 frame keys nothing
         for entry in self.entries:
             if key & entry.mask == entry.value:
-                if best is None or entry.priority < best.priority:
-                    best = entry
-        return best.port if best is not None else self.ruleset.default_port
+                return entry.port
+        return self.ruleset.default_port

@@ -26,19 +26,13 @@ so the fixpoint loop terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.blocks import Block, BlockClass
+from repro.core.blocks import HEADER_RULE_TYPES, Block, BlockClass
 from repro.core.classify.header import HeaderRuleSet
 from repro.core.classify.index import RuleIndex, iter_bits
 from repro.core.classify.rules import HeaderRule
 from repro.core.graph import ProcessingGraph
-
-#: Classifier types that implement cross-product merging, mapped to the
-#: function that merges their rule configs. Mirrors the paper's
-#: ``mergeWith(...)`` Java interface on HeaderClassifier.
-_MERGEABLE_TYPES = ("HeaderClassifier", "VlanClassifier")
-
 
 @dataclass
 class CompressionStats:
@@ -100,7 +94,7 @@ def _prune_unreachable(tree: ProcessingGraph, entry: str) -> None:
 # ----------------------------------------------------------------------
 
 def _is_mergeable_classifier(block: Block) -> bool:
-    return block.type in _MERGEABLE_TYPES and block.spec.mergeable
+    return block.type in HEADER_RULE_TYPES and block.spec.mergeable
 
 
 def _find_merge_candidate(
@@ -180,12 +174,7 @@ def merge_classifier_rulesets_on_branch(
         if rule_a.port != branch_port:
             target = allocate.outer_port(rule_a.port)
             if not is_catch_all_default:
-                merged.append(HeaderRule(
-                    src=rule_a.src, dst=rule_a.dst,
-                    src_port=rule_a.src_port, dst_port=rule_a.dst_port,
-                    proto=rule_a.proto, vlan=rule_a.vlan, dscp=rule_a.dscp,
-                    port=target,
-                ))
+                merged.append(replace(rule_a, port=target))
             continue
         if index is None:
             index = RuleIndex(inner_rules)
@@ -198,8 +187,7 @@ def merge_classifier_rulesets_on_branch(
         default = allocate.outer_port(outer.default_port)
     else:
         default = allocate.branch_port(inner.default_port)
-    result = HeaderRuleSet(merged, default)
-    return result.prune_shadowed().prune_default_tail()
+    return HeaderRuleSet(merged, default).pruned
 
 
 @dataclass
@@ -233,15 +221,11 @@ def _try_classifier_merge(tree: ProcessingGraph, stats: CompressionStats) -> boo
 
     allocate = PortAllocator()
     merged_rules = merge_classifier_rulesets_on_branch(
-        HeaderRuleSet.from_config(outer.config),
-        branch_port,
-        HeaderRuleSet.from_config(inner.config),
-        allocate,
-        stats,
+        outer.config["rules"], branch_port, inner.config["rules"], allocate, stats
     )
     merged_block = Block(
         type=outer.type,
-        config=merged_rules.to_config(),
+        config={"rules": merged_rules, "default_port": merged_rules.default_port},
         origin_app=outer.origin_app if outer.origin_app == inner.origin_app else None,
         implementation=outer.implementation,
     )
@@ -261,8 +245,7 @@ def _try_classifier_merge(tree: ProcessingGraph, stats: CompressionStats) -> boo
     # shadowed rules) are dead: leave them unwired so reachability
     # pruning collects their subtrees, and so the merged block's port
     # count (derived from its rule set) stays consistent.
-    live_ports = {rule.port for rule in merged_rules.rules}
-    live_ports.add(merged_rules.default_port)
+    live_ports = merged_rules.used_ports
 
     # Re-wire the merged classifier's ports.
     for (kind, original_port), new_port in allocate.assignments().items():

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from repro.core.blocks import Block, BlockClass
+from repro.core.classify.header import json_default
 
 
 def canonical_graph_digest(graph_dict: dict[str, Any]) -> str:
@@ -24,7 +25,9 @@ def canonical_graph_digest(graph_dict: dict[str, Any]) -> str:
     controller (digesting what it sends) and an OBI (digesting what it
     received) agree byte-for-byte whenever the graphs are identical —
     the convergence test of the anti-entropy loop (PROTOCOL.md §10).
-    List order (blocks, connectors) is semantic and preserved.
+    List order (blocks, connectors) is semantic and preserved. A rule
+    value is hashed as its wire list, so a graph built from rule dicts
+    and the same graph built from values digest alike.
 
     Block *names* are canonicalized positionally (``b0``, ``b1``, …,
     with connector endpoints remapped) before hashing: merged graphs
@@ -60,7 +63,7 @@ def canonical_graph_digest(graph_dict: dict[str, Any]) -> str:
     canonical_dict["blocks"] = blocks
     canonical_dict["connectors"] = connectors
     payload = json.dumps(
-        canonical_dict, sort_keys=True, separators=(",", ":"), default=str
+        canonical_dict, sort_keys=True, separators=(",", ":"), default=json_default
     )
     return "sha256:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

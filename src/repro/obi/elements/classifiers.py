@@ -31,6 +31,11 @@ _MATCHER_IMPLEMENTATIONS = {
 DEFAULT_HEADER_IMPLEMENTATION = "trie"
 
 
+def _rules_of(config: dict[str, Any]) -> HeaderRuleSet:
+    """A config's rule value; a block's config already holds one."""
+    return HeaderRuleSet.parse(config.get("rules", ()), config.get("default_port", 0))
+
+
 class HeaderClassifierElement(Element):
     """First-match header classification with selectable implementation."""
 
@@ -41,7 +46,7 @@ class HeaderClassifierElement(Element):
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
-        self._ruleset = HeaderRuleSet.from_config(config)
+        self._ruleset = _rules_of(config)
         implementation = config.get("implementation", DEFAULT_HEADER_IMPLEMENTATION)
         matcher_cls = _MATCHER_IMPLEMENTATIONS.get(implementation)
         if matcher_cls is None:
@@ -66,12 +71,12 @@ class HeaderClassifierElement(Element):
         if name == "match_counts":
             return dict(self.match_counts)
         if name == "rules":
-            return self._ruleset.to_config()
+            return {"rules": self._ruleset.wire, "default_port": self._ruleset.default_port}
         return super().read_handle(name)
 
     def write_handle(self, name: str, value: Any) -> None:
         if name == "rules":
-            self._ruleset = HeaderRuleSet.from_config(value)
+            self._ruleset = _rules_of(value)
             self._matcher = type(self._matcher)(self._ruleset)
             return
         super().write_handle(name, value)
@@ -215,7 +220,7 @@ class FlowClassifierElement(Element):
 
 
 class VlanClassifierElement(Element):
-    """Classifies by 802.1Q VLAN id; rules map vid -> port."""
+    """Classifies by 802.1Q VLAN id; the first rule naming the vid wins."""
 
     # The outer vid is part of the flow key (tag pops are uncacheable),
     # so the decision is flow-deterministic.
@@ -223,10 +228,14 @@ class VlanClassifierElement(Element):
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
+        rules = _rules_of(config)
         self._ports: dict[int, int] = {}
-        for rule in config.get("rules", ()):
-            self._ports[int(rule["vlan"])] = int(rule.get("port", 0))
-        self._default = int(config.get("default_port", 0))
+        self._default = rules.default_port
+        for rule in rules:
+            if rule.vlan is None:  # a catch-all ends the table
+                self._default = rule.port
+                break
+            self._ports.setdefault(rule.vlan, rule.port)
 
     def process(self, packet: Packet) -> list[tuple[int, Packet]]:
         eth = packet.eth

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.core.classify.header import json_default
 from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import Message, message_class
 
@@ -25,7 +26,7 @@ class CodecError(ProtocolError):
 def encode_message(message: Message) -> bytes:
     """Encode a message as a versioned JSON payload."""
     envelope = {"version": PROTOCOL_VERSION, "message": message.to_dict()}
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    return json.dumps(envelope, separators=(",", ":"), default=json_default).encode()
 
 
 def decode_message(payload: bytes | str) -> Message:

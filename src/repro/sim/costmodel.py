@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.classify.header import HeaderRuleSet
 from repro.core.graph import ProcessingGraph
 from repro.net.packet import Packet
 from repro.obi.engine import Engine
@@ -59,8 +60,10 @@ class BlockCostProfile:
         return self.fixed + self.per_payload_byte * payload_len
 
 
-def _classifier_fields(rules: list) -> int:
+def _classifier_fields(rules: "list | HeaderRuleSet") -> int:
     """How many distinct header fields the rule set examines."""
+    if isinstance(rules, HeaderRuleSet):
+        rules = rules.wire
     fields: set[str] = set()
     for rule in rules or ():
         if isinstance(rule, dict):

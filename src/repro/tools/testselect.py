@@ -662,7 +662,7 @@ def affects(
 #: code is deleted or gains a caller under ``src/`` (a stale entry fails
 #: the report too); new code does not get to join.
 ORPHAN_ALLOWLIST = frozenset("""
-    FirewallApp.block_source SnortRule.header_rule RateLimiterApp.set_rate
+    FirewallApp.block_source RateLimiterApp.set_rate
     WebCacheApp.add_page reconnect_obi_rest FaultyStorage.healthy
     FaultyStorage.durable_size OpenBoxApplication.request_read
     OpenBoxApplication.request_stats LeaseStore.peek InProcLeaseStore.peek
@@ -673,7 +673,7 @@ ORPHAN_ALLOWLIST = frozenset("""
     ScalingManager.group_of ObiStatsTracker.all_views ObiStatsTracker.live_obis
     TrafficSteering.register_chain TrafficSteering.set_selector
     AhoCorasick.num_states AhoCorasick.contains_any RegexRuleSet.matching_pattern
-    HeaderRule.same_match TcamMatcher.entry_count ProcessingGraph.predecessors
+    TcamMatcher.entry_count ProcessingGraph.predecessors
     ProcessingGraph.iter_paths ProcessingGraph.classifiers
     MergeResult.diameter_reduction make_http_get MacAddress.broadcast
     MacAddress.is_broadcast MacAddress.is_multicast IcmpMessage.is_echo

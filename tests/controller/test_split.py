@@ -1,8 +1,11 @@
 """Graph-split tests (paper Figures 5-6): HW classifier + SW processing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.controller.split import CLASSIFY_RESULT_KEY, deploy_split, split_at_classifier
+from repro.core.classify.rules import PortRange
 from repro.core.graph import GraphValidationError
 from repro.core.merge import merge_graphs
 from repro.net.builder import make_tcp_packet
@@ -269,7 +272,11 @@ class TestSplitIsIntent:
 
         # New rules for the hardware half, a new alert for the software one.
         tightened = build_firewall_graph("fw")
-        tightened.blocks["fw_hc"].config["rules"][0]["dst_port"] = [21, 23]
+        rules = tightened.blocks["fw_hc"].config["rules"]
+        tightened.blocks["fw_hc"].config["rules"] = replace(
+            rules, rules=(replace(rules.rules[0], dst_port=PortRange(21, 23)),)
+            + rules.rules[1:],
+        )
         tightened.blocks["fw_alert"].config["message"] = "ssh seen"
         logic["graph"] = tightened
         app.update_logic()

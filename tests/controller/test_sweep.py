@@ -9,6 +9,7 @@ from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.journal import StateJournal
 from repro.controller.obc import OpenBoxController
 from repro.controller.reconcile import AntiEntropyLoop
+from repro.core.classify.rules import PortRange, Prefix
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.codec import PROTOCOL_VERSION
@@ -87,7 +88,7 @@ class TestSharing:
         assert app.calls == before + 2
         assert [obi.graph_version for obi in obis] == [v + 1 for v in versions]
         for obi in obis:
-            assert _classifier_rules(obi)[0][0]["dst_port"] == [53, 53]
+            assert _classifier_rules(obi)[0].rules[0].dst_port == PortRange(53, 53)
 
     def test_equal_applicable_lists_share_one_result(self, fleet):
         controller, _obis = fleet
@@ -263,7 +264,7 @@ class TestFailureIsolation:
             controller.obis[o.config.obi_id].generation for o in live
         ] == [g + 1 for g in generations]
         for obi in live:
-            assert _classifier_rules(obi)[0][0]["src_ip"] == "9.9.9.0/24"
+            assert _classifier_rules(obi)[0].rules[0].src == Prefix.parse("9.9.9.0/24")
         assert controller.obis["ghost"].deployed is None
         assert controller.failed_deployments == 0
 

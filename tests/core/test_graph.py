@@ -1,9 +1,18 @@
 """ProcessingGraph structure, validation, and metrics tests."""
 
+import json
+
 import pytest
 
 from repro.core.blocks import Block
-from repro.core.graph import Connector, GraphValidationError, ProcessingGraph
+from repro.core.classify.header import HeaderRuleSet, json_default
+from repro.core.classify.rules import HeaderRule, PortRange, Prefix
+from repro.core.graph import (
+    Connector,
+    GraphValidationError,
+    ProcessingGraph,
+    canonical_graph_digest,
+)
 from tests.conftest import build_firewall_graph
 
 
@@ -149,6 +158,22 @@ class TestCopyAndSerialize:
         assert set(again.blocks) == set(firewall_graph.blocks)
         assert again.diameter() == firewall_graph.diameter()
         again.validate()
+
+    def test_digest_of_rule_values_equals_digest_of_rule_dicts(self, firewall_graph):
+        """The same graph built from rule dicts (the fixture) and from rule
+        values digests alike, and so does its exported dict form."""
+        from_values = firewall_graph.copy()
+        from_values.blocks["fw_hc"].config["rules"] = HeaderRuleSet((
+            HeaderRule(src=Prefix.parse("10.0.0.0/8"),
+                       dst_port=PortRange.exact(23), port=0),
+            HeaderRule(dst_port=PortRange.exact(22), port=1),
+        ), default_port=2)
+        exported = json.loads(json.dumps(firewall_graph.to_dict(), default=json_default))
+        assert isinstance(exported["blocks"][1]["config"]["rules"][0], dict)
+        assert (
+            from_values.digest() == firewall_graph.digest()
+            == canonical_graph_digest(exported)
+        )
 
     def test_classifiers_listing(self, firewall_graph):
         assert [b.name for b in firewall_graph.classifiers()] == ["fw_hc"]

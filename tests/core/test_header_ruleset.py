@@ -1,5 +1,9 @@
 """HeaderRuleSet: first-match classification and cross-product merging."""
 
+import gc
+import json
+import weakref
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,15 +37,36 @@ class TestClassify:
         assert ruleset.classify(make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 81)) == 9
 
     def test_config_roundtrip(self):
-        ruleset = _ruleset({"src_ip": "10.0.0.0/8", "port": 1}, default=2)
-        again = HeaderRuleSet.from_config(ruleset.to_config())
-        assert len(again) == 1
-        assert again.default_port == 2
+        """Export -> import -> export is the identity, on the shapes the
+        wire form normalises: an int port becomes ``[p, p]``, a /0 prefix
+        is the wildcard and is left out, and a 0 is a value, not a
+        wildcard (``None``)."""
+        wire = [
+            {"src_ip": "10.0.0.0/8", "port": 1},
+            {"dst_port": 80, "port": 2},
+            {"src_ip": "0.0.0.0/0", "dst_ip": "8.8.8.8/32", "port": 3},
+            {"proto": 0, "vlan": 0, "dscp": 0, "port": 4},
+            {"proto": None, "vlan": None, "dscp": None, "port": 5},
+        ]
+        ruleset = HeaderRuleSet.parse(wire, default_port=2)
+        exported = ruleset.wire
+        again = HeaderRuleSet.parse(json.loads(json.dumps(exported)), 2)
+        assert again == ruleset
+        assert again.wire == exported
+        assert exported == [
+            {"port": 1, "src_ip": "10.0.0.0/8"},
+            {"port": 2, "dst_port": [80, 80]},
+            {"port": 3, "dst_ip": "8.8.8.8/32"},
+            {"port": 4, "proto": 0, "vlan": 0, "dscp": 0},
+            {"port": 5},
+        ]
+        assert ruleset.wire is exported  # serialised once per value
+        assert HeaderRuleSet.parse(ruleset, 2) is ruleset
 
     def test_used_ports_and_num_ports(self):
         ruleset = _ruleset({"dst_port": 80, "port": 3}, default=1)
-        assert ruleset.used_ports() == {1, 3}
-        assert ruleset.num_ports() == 4
+        assert ruleset.used_ports == {1, 3}
+        assert ruleset.num_ports == 4
 
 
 class TestPruning:
@@ -92,6 +117,31 @@ class TestPruning:
         pruned = _ruleset(*wide, *tcp).prune_shadowed()
         assert len(pruned) == 2200
         assert all(rule.proto is None for rule in pruned)
+
+    def test_pruned_is_computed_once_and_is_its_own_pruned_form(self):
+        ruleset = _ruleset(
+            {"dst_port": 80, "port": 1},
+            {"dst_port": 80, "port": 2},  # shadowed
+            {"dst_port": 443, "port": 0},  # default tail
+        )
+        pruned = ruleset.pruned
+        assert [rule.port for rule in pruned] == [1]
+        assert ruleset.pruned is pruned
+        assert pruned.pruned is pruned
+        assert pruned.default_port == ruleset.default_port
+        kept = _ruleset({"dst_port": 80, "port": 1})
+        assert kept.pruned == kept
+
+    def test_values_are_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            ruleset = _ruleset({"dst_port": 80, "port": 1}, {"dst_port": 80, "port": 2})
+            pruned = ruleset.pruned
+            refs = [weakref.ref(ruleset), weakref.ref(pruned.pruned)]
+            del ruleset, pruned
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,9 @@ from repro.sim.rulesets import generate_firewall_rules
 
 
 # Field edges: /0 /1 /31 /32 prefixes with addresses on both sides of
-# them, ranges sharing an endpoint, ports 0 and 65535. No rule range
-# holds port 0 and no rule names vlan 0: the TCAM model keys a frame
-# without an L4 header as ports 0 and an untagged frame as vid 0.
+# them, ranges sharing an endpoint, ports 0 and 65535, and the shapes a
+# frame without an L4 header or a tag must not be mistaken for: ranges
+# holding port 0 and rules on vlan 0.
 def rule_dicts():
     return st.fixed_dictionaries(
         {"port": st.integers(0, 4)},
@@ -41,10 +41,14 @@ def rule_dicts():
                 "128.0.0.0/1", "192.168.0.0/16", "192.168.128.0/17",
                 "192.168.5.4/31", "8.8.8.8/32",
             ]),
-            "src_port": st.sampled_from([1000, [1000, 2000], [2000, 65535], 65535]),
-            "dst_port": st.sampled_from([22, 80, [440, 450], [450, 460], [80, 65535]]),
+            "src_port": st.sampled_from(
+                [0, 1000, [0, 1023], [1000, 2000], [2000, 65535], 65535]
+            ),
+            "dst_port": st.sampled_from(
+                [0, 22, 80, [0, 1023], [440, 450], [450, 460], [80, 65535]]
+            ),
             "proto": st.sampled_from([1, 6, 17]),
-            "vlan": st.sampled_from([5, 7]),
+            "vlan": st.sampled_from([0, 5, 7]),
             "dscp": st.sampled_from([0, 46]),
         },
     )
@@ -98,6 +102,17 @@ def packets():
 
 class TestImplementationAgreement:
     @settings(max_examples=150, deadline=None)
+    @example(  # no L4 header: a port range holding 0 must not match it
+        [{"dst_port": [0, 1023], "port": 1}], 0,
+        [
+            frame("icmp", "1.2.3.4", "9.9.9.9", 0, 0, (), 0),
+            frame("short-tcp", "1.2.3.4", "9.9.9.9", 0, 0, (), 0),
+        ],
+    )
+    @example(  # untagged: a rule on vlan 0 must not match it
+        [{"vlan": 0, "port": 2}], 0,
+        [frame("udp", "1.2.3.4", "9.9.9.9", 1000, 80, (), 0)],
+    )
     @example(  # QinQ: a rule's vlan is matched against the outer tag only
         [{"vlan": 5, "port": 1}], 0,
         [
@@ -134,7 +149,7 @@ class TestImplementationAgreement:
         ]
         merged = merge_graphs(graphs).graph
         ruleset = next(
-            HeaderRuleSet.from_config(block.config)
+            block.config["rules"]
             for block in merged.blocks.values() if block.type == "HeaderClassifier"
         )
         rnd = random.Random(28)

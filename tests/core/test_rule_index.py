@@ -195,7 +195,7 @@ def firewall_graph(name, text):
 
 def firewall_ruleset(text):
     graph = firewall_graph("fw", text)
-    return HeaderRuleSet.from_config(graph.blocks["fw_classify"].config)
+    return graph.blocks["fw_classify"].config["rules"]
 
 
 class TestBranchMergeDifferential:
@@ -230,7 +230,7 @@ def test_merge_intersects_only_nonempty_pairs():
     ])
     first = firewall_ruleset(first_text)
     second = firewall_ruleset(second_text)
-    inner = second.rules + [HeaderRule(port=second.default_port)]
+    inner = second.rules + (HeaderRule(port=second.default_port),)
     nonempty = sum(
         rule_a.intersect(rule_b, 0) is not None
         for rule_a in first.rules for rule_b in inner

@@ -2,9 +2,11 @@
 "classifier blocks of the same type can support merging")."""
 
 from repro.core.blocks import Block
+from repro.core.classify.header import HeaderRuleSet
 from repro.core.graph import ProcessingGraph
 from repro.core.merge import merge_graphs, naive_merge
 from repro.net.builder import make_tcp_packet
+from repro.obi.elements.classifiers import VlanClassifierElement
 from repro.obi.translation import build_engine
 
 
@@ -36,6 +38,21 @@ class TestVlanClassifierMerge:
         ]
         assert len(vlan_classifiers) == 1
         assert result.compression.classifier_merges >= 1
+        rules = vlan_classifiers[0].config["rules"]
+        assert isinstance(rules, HeaderRuleSet)
+        assert [rule.vlan for rule in rules] == [10, 20]
+
+    def test_vlan_rules_are_first_match_up_to_a_catch_all(self):
+        element = VlanClassifierElement("vc", {"rules": HeaderRuleSet.parse(
+            [{"vlan": 5, "port": 1}, {"vlan": 5, "port": 4},
+             {"port": 2}, {"vlan": 7, "port": 3}],
+        )})
+
+        def port(vlan):
+            packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 5, 80, vlan=vlan)
+            return element.process(packet)[0][0]
+
+        assert [port(5), port(7), port(None)] == [1, 2, 2]
 
     def test_merged_semantics_equal_sequential(self):
         graphs = [_vlan_nf("a", 10), _vlan_nf("b", 20)]

@@ -1,11 +1,14 @@
 """Protocol message and codec tests (wire round-trips, errors, versions)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.classify.header import HeaderRuleSet
+from repro.core.graph import ProcessingGraph
 from repro.protocol.codec import (
     PROTOCOL_VERSION,
     CodecError,
@@ -56,6 +59,7 @@ from repro.protocol.messages import (
     message_class,
     next_xid,
 )
+from tests.conftest import build_firewall_graph
 
 ALL_MESSAGES = [
     Hello(obi_id="o1", version=PROTOCOL_VERSION, segment="corp",
@@ -146,6 +150,16 @@ class TestRoundTrips:
         decoded = decode_message(encode_message(message))
         assert type(decoded) is type(message)
         assert decoded.to_dict() == message.to_dict()
+
+    def test_graph_export_import_export_is_byte_identical(self):
+        """Rules leave as dicts and come back as values; exporting the
+        imported graph again gives the same bytes."""
+        request = SetProcessingGraphRequest(graph=build_firewall_graph("fw").to_dict())
+        wire = encode_message(request)
+        decoded = decode_message(wire)
+        imported = ProcessingGraph.from_dict(decoded.graph)
+        assert isinstance(imported.blocks["fw_hc"].config["rules"], HeaderRuleSet)
+        assert encode_message(replace(decoded, graph=imported.to_dict())) == wire
 
     def test_every_registered_type_covered(self):
         covered = {type(message).TYPE for message in ALL_MESSAGES}
