@@ -12,8 +12,10 @@ instance through its degradation stages:
 3. bucket empty — packets are shed (deterministically: same seed,
    same arrivals, same shed set).
 
-Shedding evidence travels upstream in a ``HealthReport``; the
-controller pins the instance's effective load to 1.0 and the ordinary
+Shedding evidence travels upstream on the telemetry stream the
+controller subscribed to (PROTOCOL.md §13): the ``obi_degraded`` gauge
+and the ``obi_packets_shed_total`` counter. The controller pins the
+instance's effective load to 1.0 and the ordinary
 scaling loop — the one that normally watches CPU — provisions a
 replica. Locally graceful, globally elastic (paper §4.2, Fig. 9-10).
 
@@ -96,6 +98,9 @@ def main() -> None:
     )
     connect_inproc(controller, obi)
     controller.register_application(DpiChainApp("dpi"))
+    # Overload evidence rides the telemetry stream; subscribing is the
+    # controller's choice, not the OBI's.
+    controller.subscribe_telemetry("dpi-obi")
 
     steering = TrafficSteering()
     steering.register_chain(
@@ -144,13 +149,13 @@ def main() -> None:
         ).value
         print(f"  read {OBI_PSEUDO_BLOCK}.{handle} = {value}")
 
-    print("\n== Phase 4: health report drives the scaling loop ==")
+    print("\n== Phase 4: the telemetry stream drives the scaling loop ==")
     print(f"  before: evaluate() -> {scaling.evaluate(now=clock.now)}")
-    obi.send_health_report()
+    obi.publish_telemetry()
     view = controller.stats.view("dpi-obi")
-    print(f"  HealthReport: shed={view.last_health.packets_shed} "
-          f"degraded={view.last_health.degraded} -> "
-          f"effective_load={view.effective_load()}")
+    degraded = controller.telemetry.metric("dpi-obi", "gauges", "obi_degraded")
+    print(f"  telemetry: shed={view.packets_shed} degraded={bool(degraded)} "
+          f"-> effective_load={view.effective_load()}")
     actions = scaling.evaluate(now=clock.now)
     replica_id = actions[0].obi_id
     print(f"  after:  evaluate() -> {actions[0].kind} {replica_id}")

@@ -122,13 +122,13 @@ def main() -> None:
                                          dst_ip=SERVER)
     obi.inject_batch(flood)
     table = obi.session.flow_table
-    health = obi.health_report()
     print(f"  table: {len(table)}/{POLICY.max_entries} entries, "
           f"{table.protected_count} protected (established)")
     print(f"  evictions by reason: {dict(table.eviction_reasons)}")
     print(f"  drops by reason: {dict(table.drop_reasons)}")
-    print(f"  health: pressure={health.state_pressure} "
-          f"degraded={health.degraded}")
+    print(f"  _obi handles: state_pressure="
+          f"{obi.read_obi_handle('state_pressure')} "
+          f"degraded={obi.read_obi_handle('degraded')}")
     print("  established sessions after the flood:")
     for sport in (1001, 1002, 1003):
         send_data(obi, sport)

@@ -43,7 +43,7 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.durable import LOCAL, Storage
 
@@ -209,6 +209,35 @@ class ReplayResult:
     bad_line: str = ""
 
 
+def replace_journal(
+    storage: Storage,
+    path: str,
+    tmp_path: str,
+    records: Iterable[dict[str, Any]],
+    before_replace: Callable[[], None] | None = None,
+) -> None:
+    """Replace the JSON-lines file at ``path`` with ``records``, atomically.
+
+    The records go to ``tmp_path``, are fsynced, and are ``replace``d
+    over ``path`` — a crash at any point leaves either the old file or
+    the new one, never a torn mix. ``before_replace`` runs just before
+    the swap (callers close their handle on the old file there). On an
+    ``OSError`` anywhere the temp file is removed and the error
+    propagates with ``path`` untouched.
+    """
+    try:
+        with storage.open(tmp_path, "w") as tmp:
+            for record in records:
+                tmp.write(json.dumps(record, separators=(",", ":")) + "\n")
+            storage.fsync(tmp)
+        if before_replace is not None:
+            before_replace()
+        storage.replace(tmp_path, path)
+    except OSError:
+        storage.remove(tmp_path)
+        raise
+
+
 class JournalError(Exception):
     """Raised for misuse (e.g. appending to a closed journal)."""
 
@@ -309,45 +338,45 @@ class StateJournal:
         return self._appends_since_compact >= self.compact_every
 
     def compact(self, state: JournalState) -> None:
-        """Rewrite the journal as one snapshot record, atomically.
-
-        The snapshot is written to a sibling temp file, fsynced, then
-        ``os.replace``d over the journal — a crash at any point leaves
-        either the old journal or the new one, never a torn mix.
-        """
+        """Rewrite the journal as one snapshot record, atomically."""
         if self._closed:
             raise JournalError("journal is closed")
         # Everything the snapshot summarizes must be durable first; a
         # refused fsync aborts the compaction before any file is touched.
         self.flush()
-        tmp_path = self.path + ".compact"
+        self._rewrite(state)
+        self.compactions += 1
+
+    def _rewrite(self, state: JournalState) -> None:
+        """Swap a one-snapshot segment over the journal (:func:`replace_journal`).
+
+        Failure anywhere leaves the old journal authoritative: the
+        append handle is made usable again and the error surfaces
+        un-counted (segment and record_count describe the file that
+        still exists). Offsets taken against the old file become
+        meaningless: followers behind it catch up via the snapshot path.
+        """
         try:
-            with self.storage.open(tmp_path, "w") as tmp:
-                tmp.write(json.dumps(
-                    {"rec": "snapshot", "state": state.to_dict(),
-                     "segment": self.segment + 1},
-                    separators=(",", ":"),
-                ) + "\n")
-                self.storage.fsync(tmp)
-            self._file.close()
-            self.storage.replace(tmp_path, self.path)
+            replace_journal(
+                self.storage, self.path, self.path + ".compact",
+                [{"rec": "snapshot", "state": state.to_dict(),
+                  "segment": self.segment + 1}],
+                before_replace=self._close_file,
+            )
         except OSError:
-            # Failure anywhere leaves the old journal authoritative:
-            # drop the temp attempt, make sure the append handle is
-            # usable again, and surface the error un-counted (segment
-            # and record_count describe the file that still exists).
-            self.storage.remove(tmp_path)
             if getattr(self._file, "closed", False):
-                self._file = self.storage.open(self.path, "a")
+                with contextlib.suppress(OSError):
+                    self._file = self.storage.open(self.path, "a")
             raise
         self._file = self.storage.open(self.path, "a")
         self._appends_since_compact = 0
         self._unsynced = 0
-        self.compactions += 1
-        # Offsets taken against the old file are now meaningless:
-        # followers behind this point catch up via the snapshot path.
         self.segment += 1
         self.record_count = 1
+
+    def _close_file(self) -> None:
+        with contextlib.suppress(OSError, ValueError):
+            self._file.close()
 
     def maybe_compact(self, state: JournalState) -> bool:
         """Compact if the tail has grown past ``compact_every`` appends."""
@@ -363,34 +392,11 @@ class StateJournal:
         flushed first — after a storage outage the tail is known-stale
         (appends were dropped while degraded) and the broken handle may
         not even accept a flush. The in-memory ``state`` is the
-        authority; it is snapshotted to a temp file, fsynced, and
-        atomically swapped over the stale journal.
+        authority; it is swapped atomically over the stale journal.
         """
         if self._closed:
             raise JournalError("journal is closed")
-        tmp_path = self.path + ".compact"
-        try:
-            with self.storage.open(tmp_path, "w") as tmp:
-                tmp.write(json.dumps(
-                    {"rec": "snapshot", "state": state.to_dict(),
-                     "segment": self.segment + 1},
-                    separators=(",", ":"),
-                ) + "\n")
-                self.storage.fsync(tmp)
-            with contextlib.suppress(OSError, ValueError):
-                self._file.close()
-            self.storage.replace(tmp_path, self.path)
-        except OSError:
-            self.storage.remove(tmp_path)
-            if getattr(self._file, "closed", False):
-                with contextlib.suppress(OSError):
-                    self._file = self.storage.open(self.path, "a")
-            raise
-        self._file = self.storage.open(self.path, "a")
-        self._appends_since_compact = 0
-        self._unsynced = 0
-        self.segment += 1
-        self.record_count = 1
+        self._rewrite(state)
         self.rebuilds += 1
 
     def close(self) -> None:
@@ -399,8 +405,7 @@ class StateJournal:
             # not leave the handle open/leaked behind a raised flush.
             with contextlib.suppress(OSError):
                 self.flush()
-            with contextlib.suppress(OSError, ValueError):
-                self._file.close()
+            self._close_file()
             self._closed = True
 
     # ------------------------------------------------------------------

@@ -5,27 +5,26 @@ and migration of OBIs along with their stored data, to ensure correct
 behavior of applications in such cases."
 
 This module implements the controller-side mechanism OpenNF would drive:
-export the session storage of one OBI, import it into another, with
+checkpoint the session storage of one OBI, hand it off to another, with
 loss-free semantics for the scaling events this repo performs
 (scale-out: copy state so reassigned flows keep their session data;
-scale-in: fold the victim's state back into the survivors).
+scale-in and failover: fold the victim's state into a survivor).
 
-The protocol grows two message pairs (ExportState / ImportState), which
-the OBI serves from its session storage.
+One message pair exports (StateCheckpoint) and one imports
+(StateHandoff, fenced by the source's state generation; PROTOCOL.md
+§11). Every handoff is accounted: a transfer the importer only partly
+accepts raises a ``_controller`` alert.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.protocol.errors import ErrorCode, ProtocolError
 from repro.protocol.messages import (
     Alert,
-    ExportStateRequest,
-    ExportStateResponse,
-    ImportStateRequest,
-    ImportStateResponse,
     Message,
     StateCheckpointRequest,
     StateCheckpointResponse,
@@ -41,14 +40,15 @@ M = TypeVar("M", bound=Message)
 
 @dataclass
 class MigrationReport:
-    """What a migration moved."""
+    """What one handoff moved."""
 
     source: str
     target: str
     flows_exported: int
     flows_imported: int
     #: Entries the importer refused, keyed by reason ("malformed",
-    #: "expired", "capacity"). Empty on a loss-free transfer.
+    #: "expired", "capacity", or "stale" for a fenced-off handoff).
+    #: Empty on a loss-free transfer.
     rejected: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -59,9 +59,14 @@ class MigrationReport:
 class StateMigrator:
     """Moves per-flow session state between OBIs through the protocol."""
 
+    #: Handoff reports kept for audit (oldest dropped first).
+    REPORTS_KEPT = 256
+
     def __init__(self, controller: "OpenBoxController") -> None:
         self.controller = controller
-        self.reports: list[MigrationReport] = []
+        self.reports: collections.deque[MigrationReport] = collections.deque(
+            maxlen=self.REPORTS_KEPT
+        )
 
     def _request(self, obi_id: str, message: Message, expected: type[M]) -> M:
         """Send ``message`` to ``obi_id``; anything but an ``expected``
@@ -73,24 +78,6 @@ class StateMigrator:
                 f"unexpected answer to {message.TYPE}: {type(response).__name__}",
             )
         return response
-
-    def export_state(self, obi_id: str) -> list[dict[str, Any]]:
-        """Snapshot ``obi_id``'s session storage (one entry per flow)."""
-        return self._request(
-            obi_id, ExportStateRequest(), ExportStateResponse
-        ).state
-
-    def import_state(self, obi_id: str, state: list[dict[str, Any]]) -> int:
-        """Install exported state into ``obi_id``; returns flows imported."""
-        return self.import_state_checked(obi_id, state).flows_imported
-
-    def import_state_checked(
-        self, obi_id: str, state: list[dict[str, Any]]
-    ) -> ImportStateResponse:
-        """Install exported state; returns the full response (rejections)."""
-        return self._request(
-            obi_id, ImportStateRequest(state=state), ImportStateResponse
-        )
 
     def export_checkpoint(self, obi_id: str) -> dict[str, Any]:
         """Snapshot ``obi_id``'s flow state with its generation number.
@@ -114,15 +101,31 @@ class StateMigrator:
         generation: int,
         entries: list[dict[str, Any]],
     ) -> StateHandoffResponse:
-        """Install a dead ``source``'s checkpoint into ``target``, fenced.
+        """Install ``source``'s checkpoint into ``target``, fenced.
 
         The target remembers the highest generation imported per source;
         a stale checkpoint (a partitioned ghost's leftovers) comes back
-        ``stale=True`` instead of clobbering newer state.
+        ``stale=True`` instead of clobbering newer state. Every answered
+        handoff appends a :class:`MigrationReport`, and one that did not
+        install every entry raises a ``_controller`` alert with the
+        per-reason rejection counts so the operator knows state was lost.
         """
-        return self._request(target, StateHandoffRequest(
+        response = self._request(target, StateHandoffRequest(
             source_obi=source, state_generation=generation, state=entries,
         ), StateHandoffResponse)
+        rejected = dict(response.rejected)
+        if response.stale and entries:
+            rejected["stale"] = len(entries)
+        report = MigrationReport(
+            source=source, target=target,
+            flows_exported=len(entries),
+            flows_imported=response.flows_imported,
+            rejected=rejected,
+        )
+        if not report.complete:
+            self._alert_partial(report)
+        self.reports.append(report)
+        return response
 
     def _alert_partial(self, report: MigrationReport) -> None:
         """Surface a lossy transfer as a controller-origin alert."""
@@ -144,21 +147,12 @@ class StateMigrator:
     def migrate(self, source: str, target: str) -> MigrationReport:
         """Copy all of ``source``'s session state to ``target``.
 
-        Used on scale-out (before steering moves flows to the new
-        replica) and scale-in (before a victim is deprovisioned).
-        Verifies the importer accepted every exported flow — a partial
-        transfer raises a ``_controller`` alert with the per-reason
-        rejection counts so the operator knows state was lost.
+        Used on scale-out, before steering moves flows to the new
+        replica: a checkpoint of the live ``source`` handed off to
+        ``target`` — the same fenced, accounted path as failover.
         """
-        state = self.export_state(source)
-        response = self.import_state_checked(target, state)
-        report = MigrationReport(
-            source=source, target=target,
-            flows_exported=len(state),
-            flows_imported=response.flows_imported,
-            rejected=dict(response.rejected),
+        checkpoint = self.export_checkpoint(source)
+        self.handoff(
+            source, target, checkpoint["generation"], checkpoint["entries"]
         )
-        if not report.complete:
-            self._alert_partial(report)
-        self.reports.append(report)
-        return report
+        return self.reports[-1]

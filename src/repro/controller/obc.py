@@ -43,7 +43,6 @@ from repro.protocol.messages import (
     ErrorMessage,
     GlobalStatsRequest,
     GlobalStatsResponse,
-    HealthReport,
     Hello,
     HelloResponse,
     KeepAlive,
@@ -515,12 +514,6 @@ class OpenBoxController:
             handle.reported_digest = message.graph_digest
             handle.reported_graph_version = message.graph_version
 
-    def _handle_health(self, message: HealthReport) -> None:
-        self.stats.record_health(message, self.clock())
-        handle = self.obis.get(message.obi_id)
-        if handle is not None and message.graph_digest:
-            handle.reported_digest = message.graph_digest
-
     def _handle_log(self, message: LogMessage) -> None:
         self.logs.append(message)
         self._m_logs.inc()
@@ -786,11 +779,6 @@ class OpenBoxController:
             return response
         return None
 
-    def health(self, obi_id: str) -> HealthReport | None:
-        """Latest data-plane health beacon received from ``obi_id``."""
-        view = self.stats.view(obi_id)
-        return view.last_health if view is not None else None
-
     # ------------------------------------------------------------------
     # Streaming telemetry (PROTOCOL.md §13)
     # ------------------------------------------------------------------
@@ -816,8 +804,15 @@ class OpenBoxController:
         folded = self.telemetry.apply_stream(stream, segment=segment)
         self._m_streams.inc()
         self._m_stream_records.inc(folded)
-        # An OBI pushing telemetry is plainly alive.
-        self.stats.record_heard(stream.obi_id, self.clock())
+        # An OBI pushing telemetry is plainly alive, and the fold carries
+        # its overload evidence (PROTOCOL.md §7).
+        metric = functools.partial(self.telemetry.metric, stream.obi_id)
+        self.stats.record_overload(
+            stream.obi_id,
+            degraded=bool(metric("gauges", "obi_degraded")),
+            packets_shed=int(metric("counters", "obi_packets_shed_total")),
+            now=self.clock(),
+        )
         subscription = self._telemetry_subscriptions.get(stream.obi_id, {})
         return ack(
             ok=True,
@@ -978,7 +973,6 @@ class OpenBoxController:
         Hello: _handle_hello,
         KeepAlive: _handle_keepalive,
         Alert: _handle_alert,
-        HealthReport: _handle_health,
         LogMessage: _handle_log,
         TelemetryStream: _handle_telemetry_stream,
     }

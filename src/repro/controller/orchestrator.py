@@ -8,17 +8,19 @@ closes that loop as one periodic tick:
 0. **failover** — any group member that has not been heard from within
    the stats tracker's ``liveness_timeout`` (no keepalive, no stats
    response), or whose deployments keep failing, is declared dead: its
-   last exported session state is imported into a live survivor (or a
-   freshly provisioned replacement), the group and steering tables are
-   shrunk around it;
+   last state checkpoint is handed off to a live survivor (or a freshly
+   provisioned replacement), the group and steering tables are shrunk
+   around it;
 1. poll ``GlobalStats`` from every live OBI in each managed group —
    a successful poll is liveness evidence, a failed one is not;
 2. let the :class:`~repro.controller.scaling.ScalingManager` decide;
 3. on **scale-up**: copy session state from the template replica to the
    new one (so reassigned flows keep their verdicts — the OpenNF hook),
    then widen the steering hop;
-4. on **scale-down**: fold the victim's session state into a surviving
+4. on **scale-down**: hand the victim's last checkpoint to a surviving
    replica *before* the provisioner tears it down, then narrow steering.
+
+Every state transfer is a generation-fenced handoff (PROTOCOL.md §11).
 
 Drive it from any scheduler: ``scheduler.schedule_every(p, loop.tick)``.
 """
@@ -26,7 +28,7 @@ Drive it from any scheduler: ``scheduler.schedule_every(p, loop.tick)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.controller.migration import StateMigrator
 from repro.controller.reconcile import AntiEntropyLoop
@@ -52,8 +54,8 @@ class TickReport:
     migrations: list[tuple[str, str]] = field(default_factory=list)
     #: OBIs declared dead this tick.
     dead: list[str] = field(default_factory=list)
-    #: Group members whose health reports show overload (degraded mode
-    #: or admission-gate shedding) as of this tick.
+    #: Group members whose telemetry shows overload (degraded mode or
+    #: admission-gate shedding) as of this tick.
     overloaded: list[str] = field(default_factory=list)
     #: (dead OBI, survivor that absorbed its role; "" if none found).
     failovers: list[tuple[str, str]] = field(default_factory=list)
@@ -83,19 +85,16 @@ class TickReport:
 class OrchestrationLoop:
     """Periodic controller housekeeping over scaling groups."""
 
+    #: Declare an OBI failed after this many consecutive deploy failures
+    #: even if its keepalives still arrive (a live process that can no
+    #: longer be (re)configured is not serving policy).
+    DEPLOY_FAILURE_THRESHOLD: ClassVar[int] = 3
+
     def __init__(
         self,
         controller: "OpenBoxController",
         scaling: ScalingManager,
         steering: TrafficSteering | None = None,
-        migrate_state: bool = True,
-        #: Declare an OBI failed after this many consecutive deploy
-        #: failures even if its keepalives still arrive (a live process
-        #: that can no longer be (re)configured is not serving policy).
-        deploy_failure_threshold: int = 3,
-        #: Run an anti-entropy round each tick, converging every OBI's
-        #: reported graph digest to current intent (PROTOCOL.md §10).
-        anti_entropy: bool = True,
         #: Leadership lease (PROTOCOL.md §12): when set, every tick
         #: renews it first and a tick without the lease does nothing.
         lease: "LeaseManager | None" = None,
@@ -106,9 +105,10 @@ class OrchestrationLoop:
         self.controller = controller
         self.scaling = scaling
         self.steering = steering
-        self.migrator = StateMigrator(controller) if migrate_state else None
-        self.deploy_failure_threshold = deploy_failure_threshold
-        self.reconciler = AntiEntropyLoop(controller) if anti_entropy else None
+        self.migrator = StateMigrator(controller)
+        #: Runs an anti-entropy round each tick, converging every OBI's
+        #: reported graph digest to current intent (PROTOCOL.md §10).
+        self.reconciler = AntiEntropyLoop(controller)
         self.lease = lease
         self.replication = replication
         self.reports: list[TickReport] = []
@@ -141,7 +141,7 @@ class OrchestrationLoop:
         dead.update(
             obi_id
             for obi_id, count in self.controller.consecutive_deploy_failures.items()
-            if count >= self.deploy_failure_threshold
+            if count >= self.DEPLOY_FAILURE_THRESHOLD
         )
         failed: list[tuple[str, str]] = []
         for group in list(self.scaling._groups):
@@ -181,7 +181,7 @@ class OrchestrationLoop:
             # survivor rejects this one as stale instead of regressing.
             state = self.snapshots.pop(obi_id, None)
             entries = state["entries"] if state else []
-            if self.migrator is not None and survivor is not None and entries:
+            if survivor is not None and entries:
                 try:
                     outcome = self.migrator.handoff(
                         obi_id, survivor, state["generation"], entries
@@ -210,8 +210,6 @@ class OrchestrationLoop:
     # Session-state snapshots (consumed by failover and scale-down)
     # ------------------------------------------------------------------
     def _snapshot_stage(self) -> None:
-        if self.migrator is None:
-            return
         for group in list(self.scaling._groups):
             for obi_id in self.scaling.group_members(group):
                 if obi_id not in self.controller.obis:
@@ -275,11 +273,7 @@ class OrchestrationLoop:
         # missed a redeploy (re-pushed).
         # A degraded controller skips anti-entropy pushes: re-pushing a
         # graph it cannot journal would diverge intent from the record.
-        if (
-            self.reconciler is not None
-            and not self.controller.superseded
-            and not self.controller.degraded
-        ):
+        if not self.controller.superseded and not self.controller.degraded:
             reconcile = self.reconciler.reconcile()
             report.reconcile_adopted = list(reconcile.adopted)
             report.reconcile_pushed = list(reconcile.pushed)
@@ -291,25 +285,26 @@ class OrchestrationLoop:
         for action in self.scaling.evaluate(now):
             report.actions.append(action)
             members = self.scaling.group_members(action.group)
-            if self.migrator is not None:
-                if action.kind == "scale_up":
-                    template = next(
-                        (m for m in members
-                         if m != action.obi_id and m in self.controller.obis),
-                        None,
+            if action.kind == "scale_up":
+                template = next(
+                    (m for m in members
+                     if m != action.obi_id and m in self.controller.obis),
+                    None,
+                )
+                if template is not None:
+                    self.migrator.migrate(template, action.obi_id)
+                    report.migrations.append((template, action.obi_id))
+            elif action.kind == "scale_down":
+                survivor = next(
+                    (m for m in members if m in self.controller.obis), None
+                )
+                state = self.snapshots.get(action.obi_id)
+                if survivor is not None and state and state["entries"]:
+                    self.migrator.handoff(
+                        action.obi_id, survivor,
+                        state["generation"], state["entries"],
                     )
-                    if template is not None:
-                        self.migrator.migrate(template, action.obi_id)
-                        report.migrations.append((template, action.obi_id))
-                elif action.kind == "scale_down":
-                    survivor = next(
-                        (m for m in members if m in self.controller.obis), None
-                    )
-                    state = self.snapshots.get(action.obi_id)
-                    entries = state["entries"] if state else []
-                    if survivor is not None and entries:
-                        self.migrator.import_state(survivor, entries)
-                        report.migrations.append((action.obi_id, survivor))
+                    report.migrations.append((action.obi_id, survivor))
             if self.steering is not None:
                 self.steering.update_replicas(action.group, members)
 

@@ -35,7 +35,6 @@ say so.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
@@ -44,6 +43,7 @@ from repro.controller.journal import (
     JournalCursor,
     JournalState,
     StateJournal,
+    replace_journal,
 )
 from repro.durable import LOCAL, Storage
 from repro.protocol.dispatch import Handlers, ResponseCache, serve
@@ -273,24 +273,14 @@ class StandbyController:
         retries the snapshot later).
         """
         self.journal.close()
-        tmp_path = self.path + ".catchup"
         try:
-            with self.storage.open(tmp_path, "w") as tmp:
-                for record in records:
-                    tmp.write(
-                        json.dumps(record, separators=(",", ":")) + "\n"
-                    )
-                self.storage.fsync(tmp)
-            self.storage.replace(tmp_path, self.path)
-        except OSError:
-            self.storage.remove(tmp_path)
+            replace_journal(
+                self.storage, self.path, self.path + ".catchup", records
+            )
+        finally:
             self.journal = StateJournal(
                 self.path, fsync_every=1, storage=self.storage
             )
-            raise
-        self.journal = StateJournal(
-            self.path, fsync_every=1, storage=self.storage
-        )
 
     def _ack(self, xid: int) -> ReplicaAck:
         cursor = self.journal.cursor()

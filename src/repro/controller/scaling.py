@@ -114,8 +114,8 @@ class ScalingManager:
         loads: list[tuple[str, float]] = []
         for obi_id in self._groups.get(group, ()):
             view = self.tracker.view(obi_id)
-            # Effective load, not raw smoothed CPU: an OBI whose health
-            # reports show admission-gate shedding counts as saturated
+            # Effective load, not raw smoothed CPU: an OBI whose
+            # telemetry shows admission-gate shedding counts as saturated
             # even before its CPU samples catch up.
             load = view.effective_load(self.policy.smoothing_window) if view else 0.0
             loads.append((obi_id, load))

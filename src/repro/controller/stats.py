@@ -8,8 +8,8 @@ underutilized instances and take some of them down" (paper §3.3).
 :class:`ObiStatsTracker` records keepalives and the latest GlobalStats
 per OBI; the scaling manager consumes its view, and the orchestrator's
 failover stage consumes :meth:`ObiStatsTracker.dead_obis` — liveness is
-evidenced by *any* message from the OBI (keepalive, stats response,
-health report or pushed telemetry stream), so a silent-but-polled
+evidenced by *any* message from the OBI (keepalive, stats response or
+pushed telemetry stream), so a silent-but-polled
 instance is not declared dead while one that answers nothing for
 ``liveness_timeout`` is.
 """
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.protocol.messages import GlobalStatsResponse, HealthReport
+from repro.protocol.messages import GlobalStatsResponse
 
 
 @dataclass
@@ -30,36 +30,21 @@ class ObiLoadView:
     obi_id: str
     last_keepalive: float = 0.0
     #: Last time *any* evidence of liveness arrived (keepalive, stats,
-    #: a health report, or a pushed telemetry stream).
+    #: or a pushed telemetry stream).
     last_heard: float = 0.0
     keepalives: int = 0
     last_stats: GlobalStatsResponse | None = None
     stats_history: list[tuple[float, float]] = field(default_factory=list)
-    #: Latest data-plane health beacon (quarantine/shed/suppression
-    #: counters, PROTOCOL.md §7).
-    last_health: HealthReport | None = None
+    #: The OBI's ``obi_packets_shed_total`` as of the previous telemetry
+    #: fold: shedding progress is measured against it.
+    packets_shed: int = 0
     #: True while the OBI reports overload evidence: running degraded or
-    #: actively shedding packets since the previous health report.
+    #: actively shedding packets since the previous telemetry fold.
     overloaded: bool = False
 
     @property
     def cpu_load(self) -> float:
         return self.last_stats.cpu_load if self.last_stats is not None else 0.0
-
-    @property
-    def quarantined_blocks(self) -> list[str]:
-        return list(self.last_health.quarantined_blocks) if self.last_health else []
-
-    @property
-    def fastpath_hit_rate(self) -> float:
-        """Flow-cache hit rate the OBI last reported.
-
-        Informational for scaling decisions: the OBI already discounts
-        fast-path hits in the cpu_load it reports (a cache hit skips
-        the classifier work), so the smoothed-load samples account for
-        the cache; this exposes *why* a busy OBI reports low load.
-        """
-        return self.last_health.fastpath_hit_rate if self.last_health else 0.0
 
     def add_sample(self, now: float, load: float, limit: int) -> None:
         """Append a load sample, enforcing ``limit`` on every append."""
@@ -122,8 +107,7 @@ class ObiStatsTracker:
         self.failures.append((obi_id, now))
 
     def record_heard(self, obi_id: str, now: float) -> ObiLoadView:
-        """Any message from ``obi_id`` is liveness evidence; a pushed
-        telemetry stream is recorded as just that."""
+        """Any message from ``obi_id`` is liveness evidence."""
         view = self.register(obi_id, now)
         view.last_heard = max(view.last_heard, now)
         return view
@@ -138,19 +122,19 @@ class ObiStatsTracker:
         view.last_stats = stats
         view.add_sample(now, stats.cpu_load, self.history_limit)
 
-    def record_health(self, report: HealthReport, now: float) -> None:
-        """Fold a data-plane health beacon into the OBI's view.
+    def record_overload(
+        self, obi_id: str, degraded: bool, packets_shed: int, now: float
+    ) -> None:
+        """Fold one telemetry stream's overload evidence into the view.
 
-        Overload evidence is shedding *progress* (packets_shed grew since
-        the previous report) or currently-degraded mode; a historical
+        Overload evidence is shedding *progress* (the shed counter grew
+        since the previous fold) or currently-degraded mode; a historical
         shed counter alone does not keep an OBI marked overloaded
-        forever.
+        forever. The stream is liveness evidence too.
         """
-        view = self.record_heard(report.obi_id, now)
-        previous = view.last_health
-        shed_before = previous.packets_shed if previous is not None else 0
-        view.overloaded = report.degraded or report.packets_shed > shed_before
-        view.last_health = report
+        view = self.record_heard(obi_id, now)
+        view.overloaded = degraded or packets_shed > view.packets_shed
+        view.packets_shed = packets_shed
 
     def view(self, obi_id: str) -> ObiLoadView | None:
         return self._views.get(obi_id)

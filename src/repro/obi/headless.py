@@ -4,9 +4,9 @@ The paper's design keeps *processing* in the data plane and *policy* in
 the controller (§3), which means a controller crash must not take
 traffic down with it: an OBI that stops hearing from its controller
 keeps serving packets on the last graph it committed. What it cannot do
-is deliver upstream events — so alerts and health beacons produced while
-headless land in a bounded ring buffer and are replayed, in order, when
-contact is re-established.
+is deliver upstream events — so alerts produced while headless land in
+a bounded ring buffer and are replayed, in order, when contact is
+re-established.
 
 The buffer is a *ring*: when full, the oldest entry is evicted and the
 eviction is **counted** (``dropped``), never silent — on replay the
@@ -19,11 +19,12 @@ of PROTOCOL.md §13); ``HeadlessBuffer`` keeps its original push/drain/
 requeue surface as a thin subclass.
 
 "Scaling-sensitive behavior freezes" while headless falls out of the
-same mechanism: health reports and alert beacons are the inputs to the
-controller's scaling and failover loops, and while headless they are
-buffered rather than delivered, so no stale half-connected OBI feeds
-those loops; the split-brain generation guard (PROTOCOL.md §10) keeps a
-stale controller from un-freezing it.
+same rule: the telemetry stream (PROTOCOL.md §13) carries the overload
+evidence the controller's scaling loop reads, and a headless OBI
+publishes no stream — its telemetry ring keeps accumulating and replays
+on reconnect — so no stale half-connected OBI feeds that loop; the
+split-brain generation guard (PROTOCOL.md §10) keeps a stale controller
+from un-freezing it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.telemetry.ring import TelemetryRing
 
 
 class HeadlessBuffer(TelemetryRing):
-    """Bounded FIFO of upstream messages with drop accounting.
+    """Bounded FIFO of upstream alerts with drop accounting.
 
     ``push`` evicts the oldest entry once ``capacity`` is reached and
     counts the eviction; ``drain`` hands back the surviving entries plus

@@ -60,15 +60,10 @@ from repro.protocol.messages import (
     BarrierRequest,
     BarrierResponse,
     ErrorMessage,
-    ExportStateRequest,
-    ExportStateResponse,
-    ImportStateRequest,
-    ImportStateResponse,
     PacketHistoryRequest,
     PacketHistoryResponse,
     GlobalStatsRequest,
     GlobalStatsResponse,
-    HealthReport,
     Hello,
     HelloResponse,
     KeepAlive,
@@ -152,8 +147,8 @@ class ObiConfig:
     #: upstream events; see ``repro.obi.headless``). 0 disables the
     #: automatic transition entirely.
     headless_after: float = 30.0
-    #: Ring-buffer capacity for alerts/health reports produced while
-    #: headless; overflow evicts the oldest entry and is counted.
+    #: Ring-buffer capacity for alerts produced while headless;
+    #: overflow evicts the oldest entry and is counted.
     headless_buffer: int = 256
     #: Ordered controller endpoints for re-homing (PROTOCOL.md §12):
     #: tried first-to-last after losing the leader. Refreshed in place
@@ -512,6 +507,10 @@ class OpenBoxInstance:
         return BarrierResponse(xid=message.xid)
 
     def send_keepalive(self) -> None:
+        """Beacon liveness; the alert limiter's suppression summaries
+        (PROTOCOL.md §7) go out first, so each keepalive period ends
+        with the storm accounted."""
+        self.flush_alerts()
         if self._channel is not None:
             self._channel.notify(KeepAlive(
                 obi_id=self.config.obi_id,
@@ -546,8 +545,8 @@ class OpenBoxInstance:
         if self._headless:
             self._exit_headless()
 
-    def _buffer_upstream(self, message: Message) -> None:
-        fit = self.headless_buffer.push(message)
+    def _buffer_upstream(self, alert: Alert) -> None:
+        fit = self.headless_buffer.push(alert)
         self._m_headless_buffered.inc()
         if not fit:
             self._m_headless_dropped.inc()
@@ -569,9 +568,8 @@ class OpenBoxInstance:
                 self.headless_buffer.requeue_front(entries[index:])
                 self.headless_buffer.dropped += dropped
                 return
-            if isinstance(entry, Alert):
-                self.alerts_sent += 1
-                self._m_alerts_sent.inc()
+            self.alerts_sent += 1
+            self._m_alerts_sent.inc()
         self._headless = False
         if dropped:
             # The controller must learn the loss, not just the survivors.
@@ -781,54 +779,11 @@ class OpenBoxInstance:
             ))
 
     # ------------------------------------------------------------------
-    # Health reporting
+    # Admission accounting
     # ------------------------------------------------------------------
     @property
     def packets_shed(self) -> int:
         return self._admission.packets_shed if self._admission is not None else 0
-
-    def health_report(self) -> HealthReport:
-        """Snapshot of the robustness counters for the controller."""
-        return HealthReport(
-            obi_id=self.config.obi_id,
-            quarantined_blocks=self.robustness.quarantined_blocks(),
-            errors_total=self.robustness.errors_total,
-            packets_shed=self.packets_shed,
-            alerts_sent=self.alerts_sent,
-            alerts_suppressed=self._alert_batcher.suppressed_total,
-            degraded=self.robustness.degraded,
-            graph_version=self.graph_version,
-            fastpath_hit_rate=(
-                self.flow_cache.hit_rate if self.flow_cache is not None else 0.0
-            ),
-            headless=self.is_headless(),
-            headless_dropped=self.headless_buffer.dropped_total,
-            headless_entries=len(self.headless_buffer),
-            graph_digest=self.graph_digest,
-            state_entries=self.session.flow_count(),
-            state_protected=self.session.flow_table.protected_count,
-            state_evictions=self.session.flow_table.evictions,
-            state_drops=self.session.flow_table.drops,
-            state_pressure=self.session.under_degradation,
-            state_generation=self.session.state_generation,
-        )
-
-    def send_health_report(self) -> None:
-        """Flush suppression summaries, then beacon the health counters.
-
-        While headless the beacon is buffered, not delivered: health
-        reports are the inputs to the controller's scaling loop, and a
-        half-connected OBI must not feed it (the report is replayed on
-        reconnect instead).
-        """
-        self.flush_alerts()
-        if self._channel is None:
-            return
-        report = self.health_report()
-        if self.is_headless():
-            self._buffer_upstream(report)
-        else:
-            self._channel.notify(report)
 
     # ------------------------------------------------------------------
     # Downstream message handling
@@ -872,16 +827,6 @@ class OpenBoxInstance:
     def _set_external_services(self, message: SetExternalServices) -> Message:
         self.config.keepalive_interval = message.keepalive_interval
         return BarrierResponse(xid=message.xid)
-
-    def _import_state(self, message: ImportStateRequest) -> Message:
-        report = self.session.import_entries_checked(
-            message.state, now=self.clock()
-        )
-        return ImportStateResponse(
-            xid=message.xid,
-            flows_imported=report.imported,
-            rejected=dict(report.rejected),
-        )
 
     def _state_handoff(self, message: StateHandoffRequest) -> Message:
         """Install a dead peer's checkpoint, fenced by state generation.
@@ -1256,10 +1201,6 @@ class OpenBoxInstance:
         PacketHistoryRequest: lambda obi, message: PacketHistoryResponse(
             xid=message.xid, records=obi.packet_history(message.limit)
         ),
-        ExportStateRequest: lambda obi, message: ExportStateResponse(
-            xid=message.xid, state=obi.session.export_entries(now=obi.clock())
-        ),
-        ImportStateRequest: _import_state,
         StateCheckpointRequest: lambda obi, message: StateCheckpointResponse(
             xid=message.xid,
             obi_id=obi.config.obi_id,

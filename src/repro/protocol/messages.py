@@ -380,52 +380,6 @@ class Alert(Message):
 
 @register_message
 @dataclass
-class HealthReport(Message):
-    """OBI → OBC: periodic data-plane health beacon (PROTOCOL.md §7).
-
-    Carries the robustness counters of the armored data plane:
-    quarantined blocks, contained element errors, packets shed by the
-    admission gate, alert-suppression totals, and whether the OBI is
-    currently running degraded (bypassing ``degradable`` blocks). The
-    controller feeds these into its health view and scaling decisions.
-    """
-
-    TYPE: ClassVar[str] = "HealthReport"
-
-    obi_id: str = ""
-    quarantined_blocks: list[str] = field(default_factory=list)
-    errors_total: int = 0
-    packets_shed: int = 0
-    alerts_sent: int = 0
-    alerts_suppressed: int = 0
-    degraded: bool = False
-    graph_version: int = 0
-    #: Fraction of keyable packets served from the flow-decision cache
-    #: since startup; feeds the controller's load estimates.
-    fastpath_hit_rate: float = 0.0
-    #: Headless-mode accounting (PROTOCOL.md §10): whether the OBI is
-    #: currently running without a reachable controller, how many
-    #: upstream messages its ring buffer dropped (oldest-first) since
-    #: startup, and how many times it entered headless mode.
-    headless: bool = False
-    headless_dropped: int = 0
-    headless_entries: int = 0
-    #: Canonical digest of the running graph (anti-entropy input).
-    graph_digest: str = ""
-    #: Flow-state table accounting (PROTOCOL.md §11): live entries,
-    #: protected (established) entries, evictions and refused inserts
-    #: since startup, whether occupancy crossed the degradation
-    #: watermark, and the state generation (bumped per restore).
-    state_entries: int = 0
-    state_protected: int = 0
-    state_evictions: int = 0
-    state_drops: int = 0
-    state_pressure: bool = False
-    state_generation: int = 0
-
-
-@register_message
-@dataclass
 class ObservabilitySnapshotResponse(Message):
     """One instance's observability state (PROTOCOL.md §9).
 
@@ -509,51 +463,12 @@ class PacketHistoryResponse(Message):
 
 @register_message
 @dataclass
-class ExportStateRequest(Message):
-    """OBC → OBI: snapshot the session storage (OpenNF-style migration)."""
-
-    TYPE: ClassVar[str] = "ExportStateRequest"
-
-
-@register_message
-@dataclass
-class ExportStateResponse(Message):
-    TYPE: ClassVar[str] = "ExportStateResponse"
-
-    #: One entry per flow: {"key": five-tuple dict, "session": entries,
-    #: "created_at": float, "last_seen": float}.
-    state: list[dict[str, Any]] = field(default_factory=list)
-
-
-@register_message
-@dataclass
-class ImportStateRequest(Message):
-    """OBC → OBI: install exported session state before flows arrive."""
-
-    TYPE: ClassVar[str] = "ImportStateRequest"
-
-    state: list[dict[str, Any]] = field(default_factory=list)
-
-
-@register_message
-@dataclass
-class ImportStateResponse(Message):
-    TYPE: ClassVar[str] = "ImportStateResponse"
-
-    flows_imported: int = 0
-    #: Entries refused by validation, keyed by reason ("malformed",
-    #: "expired", "capacity"); empty on a complete transfer.
-    rejected: dict[str, int] = field(default_factory=dict)
-
-
-@register_message
-@dataclass
 class StateCheckpointRequest(Message):
     """OBC → OBI: export session state *with* its generation (§11).
 
-    The checkpoint form of ExportStateRequest: the orchestrator's
-    snapshot stage uses it so a later handoff can be generation-fenced
-    against a ghost OBI's stale state.
+    The one flow-state export: the orchestrator's snapshot stage and
+    every migration use it, so each later handoff can be
+    generation-fenced against a ghost OBI's stale state.
     """
 
     TYPE: ClassVar[str] = "StateCheckpointRequest"

@@ -242,6 +242,14 @@ class TelemetryBus:
             state = self._states.get(obi_id)
             return state["last_seq"] if state else 0
 
+    def metric(self, obi_id: str, kind: str, key: str) -> float:
+        """One folded ``counters``/``gauges`` value (0 if never seen),
+        read in place: the controller reads the fold on every stream,
+        so no copy."""
+        with self._lock:
+            state = self._states.get(obi_id)
+            return state["metrics"][kind].get(key, 0) if state else 0
+
     def state(self, obi_id: str) -> dict[str, Any] | None:
         """Deep copy of the folded per-OBI state (None if unknown)."""
         with self._lock:

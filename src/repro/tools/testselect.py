@@ -667,7 +667,7 @@ ORPHAN_ALLOWLIST = frozenset("""
     FaultyStorage.durable_size OpenBoxApplication.request_read
     OpenBoxApplication.request_stats LeaseStore.peek InProcLeaseStore.peek
     LeaseManager.is_leader OpenBoxController.unregister_application
-    OpenBoxController.health OpenBoxController.request_telemetry_rewind
+    OpenBoxController.request_telemetry_rewind
     OpenBoxController.attribute_trace OptimizationReport.total_changes
     ReplicationHub.detach ReplicationHub.lag ScalingManager.register_group
     ScalingManager.group_of ObiStatsTracker.all_views ObiStatsTracker.live_obis
@@ -680,7 +680,7 @@ ORPHAN_ALLOWLIST = frozenset("""
     IcmpMessage.echo_request IcmpMessage.echo_reply_to IcmpMessage.checksum_valid
     Ipv4Header.src_text Ipv4Header.dst_text NshHeader.decrement_si
     TcpFlags.to_text flow_of PacketOutcome.forwarded PacketOutcome.effects_key
-    HeadlessBuffer.buffered_total OpenBoxInstance.send_health_report
+    HeadlessBuffer.buffered_total
     OpenBoxInstance.publish_telemetry OpenBoxInstance.observability_snapshot
     TokenBucket.fill_fraction
     PacketStorageService.fetch PacketStorageService.purge

@@ -306,7 +306,7 @@ class TestFailover:
         scheduler, controller, obis, chaos, _prov, loop, _steering = failover_world
         # obi-1 keeps answering polls (live!) but rejects every deploy.
         controller.obis["obi-1"].channel = _RejectingChannel()
-        for _ in range(loop.deploy_failure_threshold):
+        for _ in range(loop.DEPLOY_FAILURE_THRESHOLD):
             with pytest.raises(ProtocolError):
                 controller.deploy("obi-1")
         scheduler.now = 1.0

@@ -3,8 +3,8 @@
 The acceptance scenario for the armored data plane: an element that
 raises on every Nth packet is contained (other traffic keeps flowing),
 quarantined once its error rate trips the breaker, reported upstream as
-a *batched* alert stream (not one alert per crash), and surfaced in the
-controller's health view.
+a *batched* alert stream (not one alert per crash), and visible to the
+controller through the ``_obi`` handles and the telemetry stream.
 """
 
 import pytest
@@ -89,7 +89,6 @@ class TestDataPlaneChaosScenario:
         for _ in range(60):
             outcomes.append(obi.inject(packet()))
             clock.advance(0.05)
-        obi.send_health_report()
 
         # 1. The OBI kept forwarding: every packet still made it out
         #    (the faulty element's policy is bypass) and none crashed us.
@@ -122,10 +121,18 @@ class TestDataPlaneChaosScenario:
         assert len(critical) == 1
         assert critical[0].block == "flaky"
 
-        # 5. The controller's health view shows the quarantined block.
-        view = controller.stats.view("chaos-obi")
-        assert view.quarantined_blocks == ["flaky"]
-        assert view.last_health.errors_total == 4
+        # 5. The controller sees the quarantined block: over the `_obi`
+        #    handles, and in the folded telemetry stream.
+        def read(handle):
+            return controller.send("chaos-obi", ReadRequest(
+                block=OBI_PSEUDO_BLOCK, handle=handle
+            )).value
+
+        assert read("quarantined_blocks") == ["flaky"]
+        assert read("errors_total") == 4
+        gauges = controller.telemetry_snapshot("chaos-obi").metrics["gauges"]
+        assert gauges["obi_quarantined_blocks"] == 1
+        assert gauges["obi_errors_total"] == 4
 
     def test_poison_digests_readable_over_protocol(self):
         controller, obi, clock = build_world(period=2, threshold=3)

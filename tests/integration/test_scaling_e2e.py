@@ -237,6 +237,7 @@ class TestOverloadEndToEnd:
             controller.stats, provisioner, ScalingPolicy(cooldown=0.0)
         )
         manager.register_group("gated-group", ["gated-obi"])
+        controller.subscribe_telemetry("gated-obi")
 
         # CPU samples alone look healthy: no scaling decision yet.
         _report_load(controller, "gated-obi", 0.05)
@@ -244,7 +245,7 @@ class TestOverloadEndToEnd:
 
         _drive_burst(obi, clock)
         assert obi.packets_shed > 0
-        obi.send_health_report()
+        obi.publish_telemetry()
 
         # Shedding evidence pins effective load to 1.0 and overrides the
         # lagging CPU view, so the same loop now provisions a replica.

@@ -7,8 +7,8 @@ Three survival properties of the conntrack subsystem:
   and established connections keep forwarding *without a new
   handshake* (a stray mid-stream packet would otherwise be invalid).
 * **SYN flood** — spoofed-source floods at 10x the state-table cap
-  never evict an established flow; the degradation shows up in
-  HealthReport accounting instead of in broken sessions.
+  never evict an established flow; the degradation shows up in the
+  ``_obi`` accounting handles instead of in broken sessions.
 * **Ghost fencing** — a failover handoff carries the checkpoint's
   state generation; a partitioned ghost's stale state is rejected by
   the survivor, an idempotent retry is not.
@@ -177,17 +177,19 @@ class TestSynFloodDefense:
 
     def test_degradation_is_accounted_not_silent(self, tmp_path):
         obi, _ = self.flooded_world(tmp_path)
-        health = obi.health_report()
-        assert health.state_pressure
-        assert health.degraded
-        assert health.state_entries <= self.POLICY.max_entries
-        assert health.state_protected == 8
-        assert health.state_evictions > 0
-        # The same numbers are served through the _obi pseudo-block.
         assert read_obi(obi, "state_pressure") is True
-        assert read_obi(obi, "state_evictions") == health.state_evictions
+        assert read_obi(obi, "degraded") is True
+        assert read_obi(obi, "state_entries") <= self.POLICY.max_entries
+        assert read_obi(obi, "state_protected") == 8
+        evictions = read_obi(obi, "state_evictions")
+        assert evictions > 0
         reasons = read_obi(obi, "state_eviction_reasons")
-        assert sum(reasons.values()) == health.state_evictions
+        assert sum(reasons.values()) == evictions
+        # The same numbers ride the telemetry stream's gauges.
+        gauges = obi.observability_snapshot().metrics["gauges"]
+        assert gauges["obi_state_pressure"] == 1.0
+        assert gauges["obi_degraded"] == 1.0
+        assert gauges["obi_state_evictions"] == evictions
 
     def test_flood_does_not_reach_the_journal(self, tmp_path):
         obi, established = self.flooded_world(tmp_path)
@@ -306,3 +308,52 @@ class TestControllerHandoffPath:
         alert = controller.alerts[-1]
         assert alert.origin_app == controller.CONTROLLER_ORIGIN
         assert "partial" in alert.message and "capacity" in alert.message
+
+    def test_partial_failover_handoff_raises_controller_alert(self, tmp_path):
+        """Failover hands off through the same accounted path as
+        ``migrate``: a survivor whose cap refuses part of the dead
+        member's checkpoint raises the partial-transfer alert."""
+        from repro.controller.orchestrator import OrchestrationLoop
+        from repro.controller.scaling import ScalingManager, ScalingPolicy
+        from repro.transport.faults import FaultPlan, FaultyChannel
+
+        clock = FakeClock()
+        controller = OpenBoxController(clock=clock)
+        source = make_obi(tmp_path, obi_id="source", clock=clock)
+        survivor = make_obi(tmp_path, obi_id="survivor", clock=clock,
+                            policy=FlowStatePolicy(
+                                max_entries=1, prefix_share=0.0,
+                                pressure_watermark=1.0,
+                                degradation_watermark=1.0,
+                            ))
+        channels = []
+        connect_inproc(controller, source, wrap_downstream=lambda channel:
+                       channels.append(FaultyChannel(channel, FaultPlan()))
+                       or channels[-1])
+        connect_inproc(controller, survivor)
+        deploy_conntrack(source, epoch=controller.generation)
+        deploy_conntrack(survivor, epoch=controller.generation)
+        establish(source, 5001)
+        establish(source, 5002)
+        # The survivor's one-entry table already holds a protected
+        # established flow: the handoff is refused for capacity.
+        establish(survivor, 6001)
+        scaling = ScalingManager(controller.stats, provisioner=None,
+                                 policy=ScalingPolicy(scale_down_load=0.0))
+        scaling.register_group("ct-group", ["source", "survivor"])
+        loop = OrchestrationLoop(controller, scaling)
+        clock.advance(1.0)  # a nonzero uptime: idle OBIs report low load
+        loop.tick()
+        assert len(loop.snapshots["source"]["entries"]) == 2
+
+        channels[-1].kill()
+        clock.advance(controller.stats.liveness_timeout + 1.0)
+        report = loop.tick()
+
+        assert report.failovers == [("source", "survivor")]
+        alert = controller.alerts[-1]
+        assert alert.origin_app == controller.CONTROLLER_ORIGIN
+        assert "partial" in alert.message and "capacity" in alert.message
+        handoff = loop.migrator.reports[-1]
+        assert (handoff.source, handoff.target) == ("source", "survivor")
+        assert handoff.flows_imported < handoff.flows_exported == 2

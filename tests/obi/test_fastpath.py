@@ -209,11 +209,15 @@ class TestInstanceInvalidation:
         assert response.value == 0
 
     def test_health_report_carries_hit_rate(self):
+        """The hit rate reaches the controller on the telemetry stream."""
+        controller = OpenBoxController()
         obi = OpenBoxInstance(ObiConfig(obi_id="obi-1"))
-        deploy(obi)
+        connect_inproc(controller, obi)
+        deploy(obi, epoch=controller.generation)
         for _ in range(4):
             obi.inject(fw_packet())
-        assert obi.health_report().fastpath_hit_rate == 0.75
+        snapshot = controller.telemetry_snapshot("obi-1")
+        assert snapshot.metrics["gauges"]["fastpath_hit_rate"] == 0.75
 
     def test_load_estimate_discounts_hits(self):
         clock_warm, clock_cold = FakeClock(), FakeClock()
@@ -261,7 +265,7 @@ class TestInjectBatch:
         """The ingress counters are added once per batch in a ``finally``:
         a vector whose k-th packet unwinds ``engine.process`` must leave
         exactly k offered and k-1 processed — nothing lost, nothing
-        invented (telemetry accounting and HealthReport read these)."""
+        invented (telemetry accounting and the `_obi` handles read these)."""
         obi = OpenBoxInstance(ObiConfig(obi_id="o"))
         deploy(obi)
         obi.engine.context.robustness = None  # fail fast: no containment

@@ -20,9 +20,7 @@ from repro.protocol.messages import (
     AddCustomModuleRequest,
     BarrierRequest,
     ErrorMessage,
-    ExportStateRequest,
     GlobalStatsRequest,
-    ImportStateRequest,
     LeaseAnnounce,
     ListCapabilitiesRequest,
     PacketHistoryRequest,
@@ -81,8 +79,6 @@ REQUESTS = {
     ),
     BarrierRequest: lambda obi: BarrierRequest(),
     PacketHistoryRequest: lambda obi: PacketHistoryRequest(),
-    ExportStateRequest: lambda obi: ExportStateRequest(),
-    ImportStateRequest: lambda obi: ImportStateRequest(state=[FLOW]),
     StateCheckpointRequest: lambda obi: StateCheckpointRequest(),
     StateHandoffRequest: lambda obi: StateHandoffRequest(
         source_obi="peer", state_generation=7, state=[FLOW]
@@ -95,8 +91,7 @@ REQUESTS = {
 
 MUTATING = {
     SetProcessingGraphRequest, WriteRequest, AddCustomModuleRequest,
-    SetExternalServices, LeaseAnnounce, ImportStateRequest,
-    StateHandoffRequest, TelemetrySubscribe, TelemetryAck,
+    SetExternalServices, LeaseAnnounce, StateHandoffRequest, TelemetrySubscribe, TelemetryAck,
 }
 
 

@@ -20,7 +20,6 @@ from repro.protocol.errors import ErrorCode
 from repro.protocol.messages import (
     Alert,
     ErrorMessage,
-    HealthReport,
     ReadRequest,
     SetProcessingGraphRequest,
 )
@@ -30,8 +29,8 @@ from tests.conftest import build_firewall_graph
 from tests.obi.test_instance_robustness import FakeClock
 
 
-def alert_packet():
-    return make_tcp_packet("44.0.0.1", "192.168.0.9", 1234, 22)
+def alert_packet(sport=1234):
+    return make_tcp_packet("44.0.0.1", "192.168.0.9", sport, 22)
 
 
 def pass_packet():
@@ -134,31 +133,44 @@ class TestBufferingAndReplay:
         assert len(obi.headless_buffer) == 1
 
     def test_health_reports_buffered_while_headless(self):
+        """Health evidence rides the telemetry stream: a headless OBI
+        holds it back (its ring keeps collecting) and buffers only
+        alerts."""
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0)
+        controller.subscribe_telemetry("o1")
+        seq = controller.telemetry.last_seq("o1")
         clock.advance(31.0)
-        obi.send_health_report()
-        assert len(obi.headless_buffer) == 1
-        assert controller.stats.view("o1").last_health is None
+        obi.process_packet(alert_packet())
+        assert obi.publish_telemetry() is None
+        assert controller.telemetry.last_seq("o1") == seq
+        assert [type(m) for m in obi.headless_buffer.clear()] == [Alert]
 
     def test_replay_on_reconnect_in_order(self):
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0)
+        controller.subscribe_telemetry("o1")
+        seq = controller.telemetry.last_seq("o1")
         before_alerts = alerts_total()
         clock.advance(31.0)
-        obi.process_packet(alert_packet())
+        obi.process_packet(alert_packet(1234))
         clock.advance(5.0)
-        obi.send_health_report()
+        obi.process_packet(alert_packet(1235))
         sent_before = obi.alerts_sent
 
         obi.reconnect()
 
         assert not obi.is_headless()
         assert len(obi.headless_buffer) == 0
-        assert alerts_total() == before_alerts + 1
-        assert controller.stats.view("o1").last_health is not None
+        assert alerts_total() == before_alerts + 2
+        first, second = list(controller.alerts)[-2:]
+        assert "1234" in first.packet_summary
+        assert "1235" in second.packet_summary
         # Replayed alerts count toward the sent counter.
-        assert obi.alerts_sent == sent_before + 1
+        assert obi.alerts_sent == sent_before + 2
+        # The held-back telemetry flows again once connected.
+        assert obi.publish_telemetry() is not None
+        assert controller.telemetry.last_seq("o1") > seq
 
     def test_drop_accounting_reported_after_replay(self):
         clock = FakeClock()
@@ -219,8 +231,9 @@ class TestBufferingAndReplay:
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0, headless_buffer=1)
         clock.advance(31.0)
-        obi.send_health_report()
-        obi.send_health_report()
+        obi.process_packet(alert_packet())
+        clock.advance(1.0)
+        obi.process_packet(alert_packet())
 
         def read(handle):
             response = obi.handle_message(ReadRequest(

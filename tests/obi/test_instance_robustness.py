@@ -1,4 +1,4 @@
-"""Instance-level robustness: admission gate, `_obi` handles, alerts, health.
+"""Instance-level robustness: admission gate, `_obi` handles, alerts, overload.
 
 The OBI wraps the engine's containment layer with overload control
 (token-bucket admission + deterministic shedding), alert-storm
@@ -261,54 +261,67 @@ class TestAlertSuppression:
 
 
 class TestHealthReporting:
+    """Overload evidence rides the telemetry stream (PROTOCOL.md §13)."""
+
     def test_health_report_reaches_controller_view(self):
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1.0, admission_burst=2.0))
         controller, obi = connected(config, clock=clock)
+        controller.subscribe_telemetry("o1")
         for _ in range(10):
             obi.inject(pass_packet())
-        obi.send_health_report()
+        obi.publish_telemetry()
         view = controller.stats.view("o1")
-        assert view.last_health is not None
-        assert view.last_health.packets_shed > 0
+        assert view.packets_shed == obi.packets_shed > 0
         assert view.overloaded
         assert view.effective_load() == 1.0
-        assert controller.health("o1").obi_id == "o1"
 
     def test_overload_clears_without_fresh_evidence(self):
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1000.0, admission_burst=64.0))
         controller, obi = connected(config, clock=clock)
+        controller.subscribe_telemetry("o1")
         for _ in range(10):
             obi.inject(pass_packet())
-        obi.send_health_report()
+        obi.publish_telemetry()
         assert not controller.stats.view("o1").overloaded
-        # Saturate, report, then recover and report again. The 1000 s
-        # clock jump below would trip headless mode (which buffers the
-        # health report instead of delivering it) — disable it; this
-        # test is about overload hysteresis, not controller absence.
+        # Saturate, publish, then recover and publish again. The 1000 s
+        # clock jump below would trip headless mode (which holds the
+        # stream back instead of delivering it) — disable it; this test
+        # is about overload hysteresis, not controller absence.
         config2 = ObiConfig(obi_id="o2", headless_after=0.0,
                             overload=OverloadPolicy(
                                 admission_rate=1.0, admission_burst=2.0))
         controller2, obi2 = connected(config2, clock=clock)
+        controller2.subscribe_telemetry("o2")
         for _ in range(10):
             obi2.inject(pass_packet())
-        obi2.send_health_report()
+        obi2.publish_telemetry()
         assert controller2.stats.view("o2").overloaded
         clock.advance(1000.0)
         obi2.inject(pass_packet())  # bucket refilled: admitted, healthy
-        obi2.send_health_report()
+        obi2.publish_telemetry()
         assert not controller2.stats.view("o2").overloaded
 
     def test_health_report_is_liveness_evidence(self):
         clock = FakeClock()
-        controller, obi = connected(ObiConfig(obi_id="o1"), clock=clock)
-        now = controller.clock()
-        obi.send_health_report()
-        view = controller.stats.view("o1")
-        assert view.last_heard >= now
+        controller = OpenBoxController(clock=clock)
+        obi = OpenBoxInstance(
+            ObiConfig(obi_id="o1", headless_after=0.0), clock=clock
+        )
+        connect_inproc(controller, obi)
+        obi.handle_message(SetProcessingGraphRequest(
+            graph=build_firewall_graph().to_dict(), epoch=controller.generation
+        ))
+        controller.subscribe_telemetry("o1")
+        clock.advance(controller.stats.liveness_timeout + 1.0)
+        assert not controller.stats.is_live("o1")
+        obi.inject(pass_packet())
+        obi.publish_telemetry()
+        assert controller.stats.view("o1").last_heard == clock()
+        assert controller.stats.is_live("o1")
 
 
 class TestEntryVerify:

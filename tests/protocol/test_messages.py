@@ -23,15 +23,10 @@ from repro.protocol.messages import (
     BarrierRequest,
     BarrierResponse,
     ErrorMessage,
-    ExportStateRequest,
-    ExportStateResponse,
     GlobalStatsRequest,
     GlobalStatsResponse,
-    HealthReport,
     Hello,
     HelloResponse,
-    ImportStateRequest,
-    ImportStateResponse,
     JournalStream,
     KeepAlive,
     LeaseAnnounce,
@@ -87,9 +82,6 @@ ALL_MESSAGES = [
     AddCustomModuleResponse(module_name="m", ok=True, detail="loaded"),
     Alert(obi_id="o1", block="a", origin_app="fw", message="hit",
           severity="warning", packet_summary="pkt#1", count=3),
-    HealthReport(obi_id="o1", quarantined_blocks=["bad"], errors_total=7,
-                 packets_shed=2, alerts_sent=5, alerts_suppressed=40,
-                 degraded=True, graph_version=3),
     LogMessage(obi_id="o1", block="l", origin_app="fw", message="seen"),
     SetExternalServices(log_server="http://log", storage_server="http://st",
                         keepalive_interval=5.0),
@@ -97,12 +89,6 @@ ALL_MESSAGES = [
     PacketHistoryResponse(records=[{"packet": "pkt#1", "path": ["a", "b"],
                                     "dropped": False, "outputs": ["out"],
                                     "alerts": [], "at": 1.0}]),
-    ExportStateRequest(),
-    ExportStateResponse(state=[{"key": {"src_ip": 1, "dst_ip": 2, "src_port": 3,
-                                        "dst_port": 4, "proto": 6},
-                                "session": {"tag": "x"}}]),
-    ImportStateRequest(state=[]),
-    ImportStateResponse(flows_imported=3, rejected={"expired": 1}),
     StateCheckpointRequest(),
     StateCheckpointResponse(
         obi_id="o1", state_generation=4,
@@ -201,8 +187,12 @@ class TestCodecErrors:
             decode_message(payload)
         assert info.value.code == ErrorCode.MALFORMED_MESSAGE
 
-    # The retired §9 pull request is now just another unknown type.
-    @pytest.mark.parametrize("type_name", ["Nope", "ObservabilitySnapshotRequest"])
+    # Retired types (the §9 pull request, the health beacon, the
+    # unfenced state pair) are now just more unknown types.
+    @pytest.mark.parametrize("type_name", [
+        "Nope", "ObservabilitySnapshotRequest", "HealthReport",
+        "ExportStateRequest", "ImportStateRequest",
+    ])
     def test_unknown_type(self, type_name):
         payload = json.dumps(
             {"version": PROTOCOL_VERSION, "message": {"type": type_name}}

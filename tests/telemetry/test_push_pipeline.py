@@ -79,7 +79,7 @@ class TestSubscribeAndFold:
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         timeout = controller.stats.liveness_timeout
-        # No keepalive, stats poll or health report from here on: the
+        # No keepalive or stats poll from here on: the
         # only thing the controller hears is one pushed stream.
         clock.advance(timeout - 1.0)
         obi.process_packet(pass_packet())
