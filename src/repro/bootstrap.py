@@ -176,16 +176,3 @@ def rehome_inproc(
     assert controller is not None
     controller.connect_obi(instance.config.obi_id, pair.left)
     return winner, pair
-
-
-def reconnect_obi_rest(instance: OpenBoxInstance, endpoint: RestEndpoint) -> Message:
-    """Re-register an OBI with a (possibly restarted) controller.
-
-    The REST transport needs no channel surgery — every send opens a
-    fresh connection, so a controller restarted at the same URL is
-    reachable as soon as :func:`serve_controller_rest` installs its
-    handler (the 503 window maps to ``ChannelClosed`` and is absorbed
-    by retry policies). This just re-runs the Hello handshake on the
-    existing upstream channel, advertising the same callback URL.
-    """
-    return instance.reconnect(callback_url=endpoint.url)

@@ -109,9 +109,6 @@ class ReplicationHub:
         self.replicas[replica_id] = link
         return link
 
-    def detach(self, replica_id: str) -> None:
-        self.replicas.pop(replica_id, None)
-
     def lag(self, replica_id: str) -> int:
         """Records the replica trails the leader journal by (same
         segment), or -1 when it needs a snapshot catch-up."""

@@ -139,9 +139,6 @@ class ObiStatsTracker:
     def view(self, obi_id: str) -> ObiLoadView | None:
         return self._views.get(obi_id)
 
-    def all_views(self) -> list[ObiLoadView]:
-        return list(self._views.values())
-
     def is_live(self, obi_id: str, now: float | None = None) -> bool:
         if now is None:
             now = self.clock()

@@ -181,12 +181,15 @@ def _register_builtin_types() -> None:
         num_ports=PORTS_BY_CONFIG, params=("rules", "default_port"),
         required_params=("rules",), handles=classifier_handles, mergeable=True,
     ))
+    # Routing depends on payload bytes, which the flow key does not
+    # cover: a visit poisons the flow-decision cache entry.
     reg(BlockTypeSpec(
         "RegexClassifier", C, "Classify payload against regular expressions",
         num_ports=PORTS_BY_CONFIG, params=("patterns", "default_port"),
         required_params=("patterns",), handles=classifier_handles,
         cacheable=False,
     ))
+    # Payload-dependent routing: poisons the flow-decision cache.
     reg(BlockTypeSpec(
         "HeaderPayloadClassifier", C,
         "Classify on header fields and payload patterns together",
@@ -194,12 +197,15 @@ def _register_builtin_types() -> None:
         required_params=("rules",), handles=classifier_handles,
         cacheable=False,
     ))
+    # The HTTP heuristic reads payload bytes: poisons the cache.
     reg(BlockTypeSpec(
         "ProtocolAnalyzer", C, "Classify by identified application protocol",
         num_ports=PORTS_BY_CONFIG, params=("protocols", "default_port"),
         required_params=("protocols",), handles=(HandleSpec("count"),),
         cacheable=False,
     ))
+    # Session state changes between packets of one flow (that is the
+    # point of the block): never cache past it.
     reg(BlockTypeSpec(
         "FlowClassifier", C, "Classify by flow-table state",
         num_ports=PORTS_BY_CONFIG, params=("rules", "default_port"),
@@ -258,6 +264,7 @@ def _register_builtin_types() -> None:
                       handles=(HandleSpec("count"),)))
     reg(BlockTypeSpec("VlanEncapsulate", M, "Push an 802.1Q tag", num_ports=1,
                       params=("vid", "pcp"), required_params=("vid",)))
+    # Reveals an inner tag the flow key (outer vid only) cannot see.
     reg(BlockTypeSpec("VlanDecapsulate", M, "Pop the 802.1Q tag", num_ports=1,
                       cacheable=False))
     reg(BlockTypeSpec("GzipDecompressor", M, "Decompress gzip HTTP bodies",
@@ -271,34 +278,28 @@ def _register_builtin_types() -> None:
     reg(BlockTypeSpec("HeaderPayloadRewriter", M,
                       "Rewrite payload bytes by pattern", num_ports=1,
                       params=("substitutions",)))
+    # Tunnel framing/metadata changes per packet: poisons the cache.
     reg(BlockTypeSpec(
         "NshEncapsulate", M, "Push an NSH header carrying OpenBox metadata",
         num_ports=1, params=("spi", "metadata_keys"), required_params=("spi",),
         cacheable=False,
     ))
+    # Restores metadata from wire bytes the flow key cannot see.
     reg(BlockTypeSpec("NshDecapsulate", M,
                       "Pop the NSH header and restore OpenBox metadata",
-                      num_ports=1, cacheable=False))
-    reg(BlockTypeSpec("VxlanEncapsulate", M, "VXLAN-encapsulate with metadata shim",
-                      num_ports=1, params=("vni", "metadata_keys"),
-                      cacheable=False))
-    reg(BlockTypeSpec("VxlanDecapsulate", M, "Strip VXLAN encapsulation",
-                      num_ports=1, cacheable=False))
-    reg(BlockTypeSpec("GeneveEncapsulate", M,
-                      "Geneve-encapsulate with a metadata TLV option",
-                      num_ports=1, params=("vni", "metadata_keys"),
-                      cacheable=False))
-    reg(BlockTypeSpec("GeneveDecapsulate", M, "Strip Geneve encapsulation",
                       num_ports=1, cacheable=False))
     reg(BlockTypeSpec(
         "SetMetadata", M, "Write constant values into the packet metadata storage",
         num_ports=1, params=("values",), required_params=("values",),
         combine=_combine_field_rewrites_metadata,
     ))
+    # Downstream re-parse of the bare IP frame is payload-dependent.
     reg(BlockTypeSpec("StripEthernet", M, "Remove the Ethernet header", num_ports=1,
                       cacheable=False))
+    # Emission count depends on the packet length, not the flow key.
     reg(BlockTypeSpec("Fragmenter", M, "Fragment oversized IPv4 packets",
                       num_ports=1, params=("mtu",), cacheable=False))
+    # Stateful reassembly: emission depends on fragments seen so far.
     reg(BlockTypeSpec(
         "Defragmenter", M,
         "Reassemble IPv4 fragments before classification (anti-evasion)",
@@ -306,6 +307,7 @@ def _register_builtin_types() -> None:
         handles=(HandleSpec("count"), HandleSpec("reassembled"),
                  HandleSpec("pending"), HandleSpec("expired")),
     ))
+    # Hit-or-miss routing depends on payload and mutable cache state.
     reg(BlockTypeSpec(
         "HttpCacheResponder", M,
         "Serve cached HTTP content: hits emit a synthesized response "
@@ -316,6 +318,8 @@ def _register_builtin_types() -> None:
     ))
 
     # ---------------- Shapers ----------------
+    # Rate-limit verdicts depend on clock and bucket state, not the
+    # flow key (DelayShaper, a pure timestamp shift, stays cacheable).
     shaper_handles = (HandleSpec("count"), HandleSpec("dropped"),
                       HandleSpec("rate", writable=True))
     reg(BlockTypeSpec("BpsShaper", Sh, "Limit throughput in bits per second",
@@ -352,8 +356,7 @@ def _register_builtin_types() -> None:
                                HandleSpec("reset_counts", writable=True)),
                       combine=None))
     reg(BlockTypeSpec("FlowTracker", St, "Record flows in the session storage",
-                      num_ports=1, params=("idle_timeout", "bidirectional"),
-                      handles=(HandleSpec("flow_count"),)))
+                      num_ports=1, handles=(HandleSpec("flow_count"),)))
     reg(BlockTypeSpec(
         "SessionTag", St,
         "Write a key/value into the session storage for the packet's flow",

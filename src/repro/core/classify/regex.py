@@ -101,10 +101,6 @@ class AhoCorasick:
                     self._fail[nxt] = 0
                 self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
 
-    @property
-    def num_states(self) -> int:
-        return len(self._goto)
-
     def _step(self, state: int, byte: int) -> int:
         while state and byte not in self._goto[state]:
             state = self._fail[state]

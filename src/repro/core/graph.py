@@ -170,9 +170,6 @@ class ProcessingGraph:
     def successors(self, name: str) -> list[str]:
         return [connector.dst for connector in self._out.get(name, ())]
 
-    def predecessors(self, name: str) -> list[str]:
-        return [connector.src for connector in self._in.get(name, ())]
-
     def successor_on_port(self, name: str, port: int) -> str | None:
         """The (unique) successor wired to output ``port``, or None."""
         for connector in self._out.get(name, ()):

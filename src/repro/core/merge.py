@@ -51,10 +51,6 @@ class MergeResult:
     diameter_merged: int = 0
     compression: CompressionStats = field(default_factory=CompressionStats)
 
-    @property
-    def diameter_reduction(self) -> int:
-        return self.diameter_naive - self.diameter_merged
-
 
 def naive_merge(graphs: Sequence[ProcessingGraph]) -> ProcessingGraph:
     """Chain graphs back to back without any restructuring (Figure 3).

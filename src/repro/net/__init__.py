@@ -3,8 +3,8 @@
 This subpackage implements, from scratch, everything OpenBox's data plane
 needs to handle packets: header parsing and serialization for Ethernet,
 802.1Q VLAN, IPv4, TCP, and UDP; a minimal HTTP/1.x parser; the Network
-Service Header (NSH) used to carry OpenBox metadata between service
-instances; VXLAN as an alternative encapsulation; and flow tracking.
+Service Header (NSH), the one channel that carries OpenBox metadata
+between service instances; pcap capture files; and 5-tuple flow keys.
 
 The central type is :class:`~repro.net.packet.Packet`, a mutable packet
 buffer with lazily parsed header views and an attached per-packet metadata
@@ -13,30 +13,23 @@ store (the OpenBox "metadata storage").
 
 from repro.net.checksum import internet_checksum
 from repro.net.ethernet import EtherType, EthernetHeader, MacAddress, VlanTag
-from repro.net.flow import FiveTuple, Flow, FlowTable
-from repro.net.geneve import GeneveHeader
+from repro.net.flow import FiveTuple, Flow
 from repro.net.http import HttpMessage, HttpRequest, HttpResponse, parse_http
-from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.ip import IpProto, Ipv4Header
 from repro.net.nsh import NshHeader
 from repro.net.packet import Packet
 from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
-from repro.net.vxlan import VxlanHeader
 
 __all__ = [
     "EtherType",
     "EthernetHeader",
     "FiveTuple",
     "Flow",
-    "FlowTable",
-    "GeneveHeader",
     "HttpMessage",
     "HttpRequest",
     "HttpResponse",
-    "IcmpMessage",
-    "IcmpType",
     "IpProto",
     "Ipv4Header",
     "MacAddress",
@@ -48,7 +41,6 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "VlanTag",
-    "VxlanHeader",
     "internet_checksum",
     "parse_http",
     "read_pcap",

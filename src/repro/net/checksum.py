@@ -45,8 +45,3 @@ def pseudo_header_sum(src_ip: int, dst_ip: int, proto: int, length: int) -> int:
     """One's-complement sum of the IPv4 pseudo-header for TCP/UDP checksums."""
     data = struct.pack("!IIBBH", src_ip, dst_ip, 0, proto, length)
     return ones_complement_sum(data)
-
-
-def verify_checksum(data: bytes | bytearray | memoryview, initial: int = 0) -> bool:
-    """Return True iff ``data`` (which includes its checksum field) sums to 0."""
-    return internet_checksum(data, initial) == 0

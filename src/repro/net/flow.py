@@ -1,16 +1,17 @@
-"""Flow identification and tracking.
+"""5-tuple flow keys and flow records.
 
 OpenBox's *session storage* (paper §3.4.2) is keyed by flow: a stateful NF
 application stores per-flow data (tags, gzip windows, DPI search state)
-that must live in the data plane. :class:`FlowTable` provides the flow
-lifecycle — creation on first packet, idle timeout, TCP FIN/RST teardown —
-on which the OBI's session storage is built.
+that must live in the data plane. :class:`FiveTuple` is the key and
+:class:`Flow` the record; the table that owns their lifecycle — creation
+on first packet, idle timeout, TCP FIN/RST teardown, bounded admission —
+is :class:`repro.obi.flowstate.FlowStateTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.net.ip import IpProto, int_to_ip
 from repro.net.packet import Packet
@@ -74,7 +75,7 @@ class FiveTuple:
 
 @dataclass
 class Flow:
-    """Mutable per-flow state tracked by a :class:`FlowTable`."""
+    """Mutable per-flow state held by :class:`repro.obi.flowstate.FlowStateTable`."""
 
     key: FiveTuple
     created_at: float
@@ -107,99 +108,3 @@ class Flow:
                 self.fin_seen = True
             if tcp.has_flag(TcpFlags.RST):
                 self.rst_seen = True
-
-
-class FlowTable:
-    """Tracks active flows with idle-timeout eviction.
-
-    ``bidirectional`` controls whether both directions of a connection map
-    to the same flow entry (the default, matching how Snort-style NFs use
-    session state).
-    """
-
-    def __init__(
-        self,
-        idle_timeout: float = 60.0,
-        bidirectional: bool = True,
-        max_flows: int | None = None,
-    ) -> None:
-        if idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        self.idle_timeout = idle_timeout
-        self.bidirectional = bidirectional
-        self.max_flows = max_flows
-        self._flows: dict[FiveTuple, Flow] = {}
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __iter__(self) -> Iterator[Flow]:
-        return iter(self._flows.values())
-
-    def _key_for(self, key: FiveTuple) -> FiveTuple:
-        return key.bidirectional_key() if self.bidirectional else key
-
-    def canonical_key(self, key: FiveTuple) -> FiveTuple:
-        """The table's internal key for ``key`` (direction-folded if
-        the table is bidirectional)."""
-        return self._key_for(key)
-
-    def install(self, flow: Flow) -> None:
-        """Insert a pre-built flow entry (state import/migration)."""
-        if self.max_flows is not None and len(self._flows) >= self.max_flows:
-            self._evict_oldest()
-        self._flows[flow.key] = flow
-
-    def lookup(self, key: FiveTuple) -> Flow | None:
-        """Return the flow for ``key`` without creating or touching it."""
-        return self._flows.get(self._key_for(key))
-
-    def observe(self, packet: Packet, now: float) -> Flow | None:
-        """Account ``packet`` to its flow, creating the flow if new.
-
-        Returns None for non-IP packets. Runs opportunistic expiry so the
-        table stays bounded even without explicit :meth:`expire` calls.
-        """
-        tuple5 = FiveTuple.of(packet)
-        if tuple5 is None:
-            return None
-        key = self._key_for(tuple5)
-        flow = self._flows.get(key)
-        if flow is None:
-            if self.max_flows is not None and len(self._flows) >= self.max_flows:
-                self._evict_oldest()
-            flow = Flow(key=key, created_at=now, last_seen=now)
-            self._flows[key] = flow
-        flow.touch(packet, now)
-        return flow
-
-    def expire(self, now: float) -> list[Flow]:
-        """Remove and return flows idle for longer than the timeout."""
-        expired = [
-            flow for flow in self._flows.values()
-            if now - flow.last_seen > self.idle_timeout
-        ]
-        for flow in expired:
-            del self._flows[flow.key]
-            self.evictions += 1
-        return expired
-
-    def remove(self, key: FiveTuple) -> Flow | None:
-        """Explicitly remove a flow (e.g. after FIN handshake completes)."""
-        return self._flows.pop(self._key_for(key), None)
-
-    def _evict_oldest(self) -> None:
-        oldest = min(self._flows.values(), key=lambda flow: flow.last_seen, default=None)
-        if oldest is not None:
-            del self._flows[oldest.key]
-            self.evictions += 1
-
-    def export_state(self) -> dict[str, dict[str, Any]]:
-        """Serializable snapshot of per-flow session state.
-
-        This is the hook an OpenNF-style migration framework would use to
-        move session storage between replicated OBIs (paper §3.4.2 defers
-        migration itself to OpenNF).
-        """
-        return {str(flow.key): dict(flow.session) for flow in self._flows.values()}

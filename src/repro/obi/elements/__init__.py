@@ -20,13 +20,9 @@ from repro.obi.elements.classifiers import (
 )
 from repro.obi.elements.conntrack import ConntrackElement
 from repro.obi.elements.metadata import (
-    GeneveDecapsulateElement,
-    GeneveEncapsulateElement,
     NshDecapsulateElement,
     NshEncapsulateElement,
     SetMetadataElement,
-    VxlanDecapsulateElement,
-    VxlanEncapsulateElement,
 )
 from repro.obi.elements.modifiers import (
     DecTtlElement,
@@ -103,10 +99,6 @@ element_registry = {
     "HttpCacheResponder": HttpCacheResponderElement,
     "NshEncapsulate": NshEncapsulateElement,
     "NshDecapsulate": NshDecapsulateElement,
-    "VxlanEncapsulate": VxlanEncapsulateElement,
-    "VxlanDecapsulate": VxlanDecapsulateElement,
-    "GeneveEncapsulate": GeneveEncapsulateElement,
-    "GeneveDecapsulate": GeneveDecapsulateElement,
     "SetMetadata": SetMetadataElement,
     "StripEthernet": StripEthernetElement,
     "Fragmenter": FragmenterElement,

@@ -16,7 +16,6 @@ from repro.core.classify.payload import HeaderPayloadRuleSet
 from repro.core.classify.regex import RegexRuleSet
 from repro.core.classify.tcam import TcamMatcher
 from repro.core.classify.trie import TrieMatcher
-from repro.net.flow import FiveTuple
 from repro.net.http import looks_like_http
 from repro.net.ip import IpProto
 from repro.net.packet import Packet
@@ -85,10 +84,6 @@ class HeaderClassifierElement(Element):
 class RegexClassifierElement(Element):
     """Payload classification against a pattern set (DPI)."""
 
-    # Routing depends on payload bytes, which the flow key does not
-    # cover: a visit poisons the flow-decision cache entry.
-    cacheable = False
-
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
         self._ruleset = RegexRuleSet.from_config(config)
@@ -115,9 +110,6 @@ class RegexClassifierElement(Element):
 
 class HeaderPayloadClassifierElement(Element):
     """Combined header + payload rules (IPS-style, paper Table 1)."""
-
-    # Payload-dependent routing: poisons the flow-decision cache.
-    cacheable = False
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
@@ -151,9 +143,6 @@ class ProtocolAnalyzerElement(Element):
     ``default_port``. Identification is lightweight: transport protocol,
     well-known ports, and HTTP payload heuristics.
     """
-
-    # The HTTP heuristic reads payload bytes: poisons the cache.
-    cacheable = False
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
@@ -197,10 +186,6 @@ class FlowClassifierElement(Element):
     how a stateful application (e.g. an IPS that tagged a flow as
     suspicious) steers subsequent packets of the flow.
     """
-
-    # Session state changes between packets of one flow (that is the
-    # point of the block): never cache past it.
-    cacheable = False
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
@@ -275,8 +260,3 @@ class MetadataClassifierElement(Element):
         if value is None:
             return [(self._default, packet)]
         return [(self._ports.get(str(value), self._default), packet)]
-
-
-def flow_of(packet: Packet) -> FiveTuple | None:
-    """Convenience re-export used by tests."""
-    return FiveTuple.of(packet)

@@ -1,4 +1,4 @@
-"""Metadata transfer elements: NSH/VXLAN encapsulation and SetMetadata.
+"""Metadata transfer elements: NSH encapsulation and SetMetadata.
 
 These implement the distributed data plane of paper §3.1 and Figure 6:
 when a processing graph is split across OBIs, the upstream OBI stores its
@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.net.geneve import GeneveHeader
 from repro.net.nsh import NSH_NEXT_PROTO_ETHERNET, NshHeader
 from repro.net.packet import Packet
-from repro.net.vxlan import decap_with_metadata, encap_with_metadata
 from repro.obi.engine import Element
 from repro.obi.storage import MetadataCodec
 
@@ -39,9 +37,6 @@ class NshEncapsulateElement(Element):
     keys to ship; default all), optional ``si`` (initial service index).
     """
 
-    # Tunnel framing/metadata changes per packet: poisons the cache.
-    cacheable = False
-
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
         self.spi = int(config["spi"])
@@ -60,9 +55,6 @@ class NshEncapsulateElement(Element):
 
 class NshDecapsulateElement(Element):
     """Strips the NSH header and restores the metadata storage."""
-
-    # Restores metadata from wire bytes the flow key cannot see.
-    cacheable = False
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
@@ -88,94 +80,3 @@ class NshDecapsulateElement(Element):
         if name == "decap_errors":
             return self.decap_errors
         return super().read_handle(name)
-
-
-class VxlanEncapsulateElement(Element):
-    """VXLAN alternative to NSH (paper §3.1 lists VXLAN/Geneve/FlowTags)."""
-
-    # Tunnel framing/metadata changes per packet: poisons the cache.
-    cacheable = False
-
-    def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
-        super().__init__(name, config, origin_app)
-        self.vni = int(config.get("vni", 0))
-        self.metadata_keys = config.get("metadata_keys")
-
-    def process(self, packet: Packet) -> list[tuple[int, Packet]]:
-        packet.rebuild()
-        blob = MetadataCodec.encode(packet.metadata, self.metadata_keys)
-        packet.data = encap_with_metadata(self.vni, blob, packet.data)
-        packet.invalidate()
-        return [(0, packet)]
-
-
-class GeneveEncapsulateElement(Element):
-    """Geneve alternative: metadata rides as a native TLV option."""
-
-    # Tunnel framing/metadata changes per packet: poisons the cache.
-    cacheable = False
-
-    def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
-        super().__init__(name, config, origin_app)
-        self.vni = int(config.get("vni", 0))
-        self.metadata_keys = config.get("metadata_keys")
-
-    def process(self, packet: Packet) -> list[tuple[int, Packet]]:
-        packet.rebuild()
-        geneve = GeneveHeader(vni=self.vni)
-        geneve.add_metadata(MetadataCodec.encode(packet.metadata, self.metadata_keys))
-        packet.data = geneve.serialize() + packet.data
-        packet.invalidate()
-        return [(0, packet)]
-
-
-class GeneveDecapsulateElement(Element):
-    """Strips Geneve encapsulation and restores metadata."""
-
-    # Restores metadata from wire bytes the flow key cannot see.
-    cacheable = False
-
-    def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
-        super().__init__(name, config, origin_app)
-        self.decap_errors = 0
-
-    def process(self, packet: Packet) -> list[tuple[int, Packet]]:
-        try:
-            geneve = GeneveHeader.parse(packet.data)
-        except ValueError:
-            self.decap_errors += 1
-            return [(0, packet)]
-        blob = geneve.openbox_metadata()
-        if blob is not None:
-            try:
-                packet.metadata.update(MetadataCodec.decode(blob))
-            except ValueError:
-                self.decap_errors += 1
-        packet.data = packet.data[geneve.header_len:]
-        packet.invalidate()
-        return [(0, packet)]
-
-
-class VxlanDecapsulateElement(Element):
-    """Strips VXLAN encapsulation and restores metadata."""
-
-    # Restores metadata from wire bytes the flow key cannot see.
-    cacheable = False
-
-    def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
-        super().__init__(name, config, origin_app)
-        self.decap_errors = 0
-
-    def process(self, packet: Packet) -> list[tuple[int, Packet]]:
-        try:
-            _header, blob, inner = decap_with_metadata(packet.data)
-        except ValueError:
-            self.decap_errors += 1
-            return [(0, packet)]
-        try:
-            packet.metadata.update(MetadataCodec.decode(blob))
-        except ValueError:
-            self.decap_errors += 1
-        packet.data = inner
-        packet.invalidate()
-        return [(0, packet)]

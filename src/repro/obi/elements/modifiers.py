@@ -171,9 +171,6 @@ class VlanEncapsulateElement(Element):
 class VlanDecapsulateElement(Element):
     """Pops the outermost 802.1Q tag (no-op on untagged frames)."""
 
-    # Reveals an inner tag the flow key (outer vid only) cannot see.
-    cacheable = False
-
     def process(self, packet: Packet) -> list[tuple[int, Packet]]:
         eth = packet.eth
         if eth is not None and eth.vlan_tags:
@@ -185,9 +182,6 @@ class VlanDecapsulateElement(Element):
 
 class StripEthernetElement(Element):
     """Removes the Ethernet framing, leaving a bare IPv4 packet."""
-
-    # Downstream re-parse of the bare IP frame is payload-dependent.
-    cacheable = False
 
     def process(self, packet: Packet) -> list[tuple[int, Packet]]:
         eth = packet.eth
@@ -206,9 +200,6 @@ class DefragmenterElement(Element):
     bytes (up to the final fragment's end) are present. Incomplete
     groups expire after ``timeout`` seconds of engine-clock time.
     """
-
-    # Stateful reassembly: emission depends on fragments seen so far.
-    cacheable = False
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
@@ -308,9 +299,6 @@ class DefragmenterElement(Element):
 class FragmenterElement(Element):
     """Fragments IPv4 packets larger than ``mtu`` (simplified: splits
     the L4 payload across IP fragments with correct offsets/flags)."""
-
-    # Emission count depends on the packet length, not the flow key.
-    cacheable = False
 
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)

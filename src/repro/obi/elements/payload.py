@@ -165,9 +165,6 @@ class HttpCacheResponderElement(Element):
     Misses pass through unchanged on port 0.
     """
 
-    # Hit-or-miss routing depends on payload and mutable cache state.
-    cacheable = False
-
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
         self.cache: dict[str, dict[str, str]] = {

@@ -40,10 +40,6 @@ class _TokenBucket:
 class _ShaperBase(Element):
     """Common drop accounting for shapers."""
 
-    # Rate-limit verdicts depend on clock and bucket state, not the
-    # flow key (DelayShaper, a pure timestamp shift, stays cacheable).
-    cacheable = False
-
     def __init__(self, name: str, config: dict[str, Any], origin_app: str | None = None) -> None:
         super().__init__(name, config, origin_app)
         self.dropped = 0

@@ -186,11 +186,10 @@ class Element:
     """
 
     #: May a visit to this element be part of a cached flow decision?
-    #: False poisons the flow (no positive cache entry is installed):
-    #: set by elements whose behaviour is stateful or payload-dependent
-    #: in a way the flow key cannot capture. Resolved per instance by
-    #: the translation layer (config override > block-type spec > this
-    #: class default).
+    #: False poisons the flow (no positive cache entry is installed).
+    #: Built-in types declare it once, on their block-type spec; a
+    #: custom element class may also set False. Resolved per instance
+    #: by the translation layer (class AND block-type spec).
     cacheable: bool = True
     #: True for classifiers whose routing decision is a pure function
     #: of the flow key: the fast path records their decision once and

@@ -19,7 +19,7 @@ Soundness rests on three rules, enforced here and in the engine:
   and the values of every metadata key the graph's MetadataClassifier
   blocks route on (the *metadata scope*).
 * **Poisoning** — a traversal that visits an element whose decisions
-  are *not* flow-deterministic (``Element.cacheable = False``: DPI
+  are *not* flow-deterministic (``BlockTypeSpec.cacheable=False``: DPI
   classifiers, defragmenters, tunnels, rate limiters), or that is
   touched by fault containment, never installs a positive entry; a
   negative (uncacheable) entry is installed instead so the flow keeps

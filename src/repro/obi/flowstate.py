@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.controller.journal import StateJournal
 from repro.durable import Storage
-from repro.net.flow import FiveTuple, Flow, FlowTable
+from repro.net.flow import FiveTuple, Flow
 from repro.net.packet import Packet
 
 
@@ -325,11 +325,14 @@ class FlowStateCheckpointer:
         self.journal.close()
 
 
-class FlowStateTable(FlowTable):
-    """A :class:`FlowTable` hardened against exhaustion and crashes.
+class FlowStateTable:
+    """The OBI's flow table, hardened against exhaustion and crashes.
 
-    Entries are strictly bounded by :attr:`FlowStatePolicy.max_entries`
-    with a tiered reclamation order on insertion pressure:
+    Keys are direction-folded (:meth:`FiveTuple.bidirectional_key`), so
+    both directions of a connection share one entry, and an entry idle
+    for longer than ``idle_timeout`` expires. Entries are strictly
+    bounded by :attr:`FlowStatePolicy.max_entries` with a tiered
+    reclamation order on insertion pressure:
 
     1. idle-timeout expiry (normal TTL);
     2. early-TTL reclaim of idle *unprotected* entries (pressure only);
@@ -346,15 +349,15 @@ class FlowStateTable(FlowTable):
     def __init__(
         self,
         idle_timeout: float = 60.0,
-        bidirectional: bool = True,
         policy: FlowStatePolicy | None = None,
     ) -> None:
+        if idle_timeout <= 0:
+            raise ValueError("idle_timeout must be positive")
+        self.idle_timeout = idle_timeout
         self.policy = policy or FlowStatePolicy()
-        super().__init__(
-            idle_timeout=idle_timeout,
-            bidirectional=bidirectional,
-            max_flows=self.policy.max_entries,
-        )
+        self._flows: dict[FiveTuple, Flow] = {}
+        #: Entries reclaimed by any policy (explicit removals excluded).
+        self.evictions = 0
         #: Approximate-LRU queue of unprotected keys (oldest first);
         #: touching a flow moves its key to the end, protecting removes
         #: it, so eviction is an O(1) pop of the head.
@@ -378,6 +381,21 @@ class FlowStateTable(FlowTable):
         #: Attached :class:`FlowStateCheckpointer`; None disables
         #: persistence entirely (zero hot-path cost).
         self.checkpoint: FlowStateCheckpointer | None = None
+
+    def __len__(self) -> int:
+        return len(self._flows)
+
+    def __iter__(self) -> Iterator[Flow]:
+        return iter(self._flows.values())
+
+    @staticmethod
+    def canonical_key(key: FiveTuple) -> FiveTuple:
+        """The table's internal (direction-folded) key for ``key``."""
+        return key.bidirectional_key()
+
+    def lookup(self, key: FiveTuple) -> Flow | None:
+        """Return the flow for ``key`` without creating or touching it."""
+        return self._flows.get(key.bidirectional_key())
 
     # ------------------------------------------------------------------
     # Occupancy / pressure
@@ -518,21 +536,22 @@ class FlowStateTable(FlowTable):
         return True
 
     # ------------------------------------------------------------------
-    # FlowTable API (policy-aware overrides)
+    # Flow lifecycle
     # ------------------------------------------------------------------
     def observe(self, packet: Packet, now: float) -> Flow | None:
         """Account ``packet`` to its flow, creating the flow if admitted.
 
-        Unlike the base table, a new flow may be *refused* under
-        exhaustion (None is returned and the refusal counted): stateful
-        elements treat a refused flow as "no state", which under a
-        flood means new connections degrade while established ones —
-        whose entries are protected — keep their state and verdicts.
+        Returns None for non-IP packets. A new flow may also be
+        *refused* under exhaustion (None is returned and the refusal
+        counted): stateful elements treat a refused flow as "no state",
+        which under a flood means new connections degrade while
+        established ones — whose entries are protected — keep their
+        state and verdicts.
         """
         tuple5 = FiveTuple.of(packet)
         if tuple5 is None:
             return None
-        key = self._key_for(tuple5)
+        key = tuple5.bidirectional_key()
         flow = self._flows.get(key)
         if flow is None:
             prefix = self._prefix(tuple5.src_ip)
@@ -552,7 +571,7 @@ class FlowStateTable(FlowTable):
         import can not blow through the cap — but an already-present
         key replaces in place without re-admission.
         """
-        key = self._key_for(flow.key)
+        key = flow.key.bidirectional_key()
         if key != flow.key:
             flow = Flow(
                 key=key, created_at=flow.created_at, last_seen=flow.last_seen,
@@ -570,6 +589,7 @@ class FlowStateTable(FlowTable):
         return True
 
     def expire(self, now: float) -> list[Flow]:
+        """Remove and return flows idle for longer than the timeout."""
         expired = [
             flow for flow in self._flows.values()
             if now - flow.last_seen > self.idle_timeout
@@ -580,10 +600,8 @@ class FlowStateTable(FlowTable):
         ]
 
     def remove(self, key: FiveTuple) -> Flow | None:
-        return self._delete(self._key_for(key), "removed")
-
-    def _evict_oldest(self) -> None:  # pragma: no cover - superseded
-        self._evict_lru_unprotected("lru")
+        """Explicitly remove a flow (e.g. after FIN handshake completes)."""
+        return self._delete(key.bidirectional_key(), "removed")
 
     # ------------------------------------------------------------------
     # Versioning, protection, durability
@@ -637,6 +655,10 @@ class FlowStateTable(FlowTable):
             entry["age"] = max(0.0, now - flow.last_seen)
         return entry
 
+    def export_state(self) -> dict[str, dict[str, Any]]:
+        """Per-flow session data keyed by flow string (debugging)."""
+        return {str(flow.key): dict(flow.session) for flow in self._flows.values()}
+
     def _image(self) -> tuple[list[dict[str, Any]], set[FiveTuple]]:
         """(entries, keys) of every *durable* flow, for a snapshot."""
         entries: list[dict[str, Any]] = []
@@ -666,7 +688,7 @@ class FlowStateTable(FlowTable):
         for entry in result.entries:
             try:
                 flow = Flow(
-                    key=self._key_for(FiveTuple.from_dict(entry["key"])),
+                    key=FiveTuple.from_dict(entry["key"]).bidirectional_key(),
                     created_at=float(entry.get("created_at", now)),
                     last_seen=now,
                     packets=int(entry.get("packets", 0)),

@@ -334,10 +334,6 @@ class TokenBucket:
             return True
         return False
 
-    def fill_fraction(self, now: float) -> float:
-        self._refill(now)
-        return self.tokens / self.burst
-
 
 @dataclass
 class OverloadPolicy:

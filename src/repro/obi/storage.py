@@ -7,8 +7,8 @@ Two key-value stores back stateful NF applications:
   serializes it into the NSH context header when a packet travels to the
   next OBI in a split processing graph (§3.1), and restores it on arrival.
 * **session storage** — per-flow, valid while the flow is alive. Built on
-  :class:`repro.net.flow.FlowTable`; exposes export/import hooks so an
-  OpenNF-style framework could migrate state between OBI replicas.
+  :class:`repro.obi.flowstate.FlowStateTable`; exposes export/import hooks
+  so an OpenNF-style framework could migrate state between OBI replicas.
 """
 
 from __future__ import annotations
@@ -87,19 +87,10 @@ class SessionStorage:
     def __init__(
         self,
         idle_timeout: float = 60.0,
-        bidirectional: bool = True,
-        max_flows: int | None = 1_000_000,
         policy: FlowStatePolicy | None = None,
         checkpoint: FlowStateCheckpointer | None = None,
     ) -> None:
-        if policy is None:
-            policy = FlowStatePolicy(max_entries=max_flows or 1_000_000)
-        self.policy = policy
-        self._flows = FlowStateTable(
-            idle_timeout=idle_timeout,
-            bidirectional=bidirectional,
-            policy=policy,
-        )
+        self._flows = FlowStateTable(idle_timeout=idle_timeout, policy=policy)
         self._flows.checkpoint = checkpoint
         #: Report from the most recent checked import (diagnostics).
         self.last_import: ImportReport | None = None

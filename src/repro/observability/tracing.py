@@ -112,17 +112,6 @@ class PacketTrace:
     def duration(self) -> float:
         return self.finished - self.started
 
-    def by_app(self) -> dict[str, list[TraceSpan]]:
-        """Spans grouped by originating application (demultiplexed view).
-
-        Blocks the merge synthesized across tenants (no provenance) land
-        under ``""`` — shared infrastructure, owned by no one app.
-        """
-        grouped: dict[str, list[TraceSpan]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.origin_app or "", []).append(span)
-        return grouped
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "seq": self.seq,
@@ -136,9 +125,6 @@ class PacketTrace:
             "errors": self.errors,
             "spans": [span.to_dict() for span in self.spans],
         }
-
-    def format_tree(self) -> str:
-        return render_trace_tree(self.to_dict())
 
 
 def render_trace_tree(trace: dict[str, Any]) -> str:

@@ -140,9 +140,7 @@ class CostModel:
             return BlockCostProfile(
                 fixed=dispatch + self.modifier_base, per_payload_byte=self.html_per_byte
             )
-        if block_type in ("NshEncapsulate", "NshDecapsulate",
-                          "VxlanEncapsulate", "VxlanDecapsulate",
-                          "GeneveEncapsulate", "GeneveDecapsulate"):
+        if block_type in ("NshEncapsulate", "NshDecapsulate"):
             return BlockCostProfile(fixed=dispatch + self.nsh_codec)
         if block_type in ("SetMetadata", "MetadataClassifier", "FlowClassifier",
                           "VlanClassifier", "ProtocolAnalyzer"):

@@ -662,32 +662,27 @@ def affects(
 #: code is deleted or gains a caller under ``src/`` (a stale entry fails
 #: the report too); new code does not get to join.
 ORPHAN_ALLOWLIST = frozenset("""
-    FirewallApp.block_source RateLimiterApp.set_rate
-    WebCacheApp.add_page reconnect_obi_rest FaultyStorage.healthy
-    FaultyStorage.durable_size OpenBoxApplication.request_read
-    OpenBoxApplication.request_stats LeaseStore.peek InProcLeaseStore.peek
-    LeaseManager.is_leader OpenBoxController.unregister_application
-    OpenBoxController.request_telemetry_rewind
-    OpenBoxController.attribute_trace OptimizationReport.total_changes
-    ReplicationHub.detach ReplicationHub.lag ScalingManager.register_group
-    ScalingManager.group_of ObiStatsTracker.all_views ObiStatsTracker.live_obis
-    TrafficSteering.register_chain TrafficSteering.set_selector
-    AhoCorasick.num_states AhoCorasick.contains_any RegexRuleSet.matching_pattern
-    TcamMatcher.entry_count ProcessingGraph.predecessors
-    ProcessingGraph.iter_paths ProcessingGraph.classifiers
-    MergeResult.diameter_reduction make_http_get MacAddress.broadcast
-    MacAddress.is_broadcast MacAddress.is_multicast IcmpMessage.is_echo
-    IcmpMessage.echo_request IcmpMessage.echo_reply_to IcmpMessage.checksum_valid
+    FirewallApp.block_source RateLimiterApp.set_rate WebCacheApp.add_page
+    FaultyStorage.healthy FaultyStorage.durable_size
+    OpenBoxApplication.request_read OpenBoxApplication.request_stats
+    LeaseStore.peek InProcLeaseStore.peek LeaseManager.is_leader
+    OpenBoxController.unregister_application
+    OpenBoxController.request_telemetry_rewind OpenBoxController.attribute_trace
+    OptimizationReport.total_changes ReplicationHub.lag
+    ScalingManager.register_group ScalingManager.group_of
+    ObiStatsTracker.live_obis TrafficSteering.register_chain
+    TrafficSteering.set_selector AhoCorasick.contains_any
+    RegexRuleSet.matching_pattern TcamMatcher.entry_count
+    ProcessingGraph.iter_paths ProcessingGraph.classifiers make_http_get
+    MacAddress.broadcast MacAddress.is_broadcast MacAddress.is_multicast
     Ipv4Header.src_text Ipv4Header.dst_text NshHeader.decrement_si
-    TcpFlags.to_text flow_of PacketOutcome.forwarded PacketOutcome.effects_key
-    HeadlessBuffer.buffered_total
-    OpenBoxInstance.publish_telemetry OpenBoxInstance.observability_snapshot
-    TokenBucket.fill_fraction
-    PacketStorageService.fetch PacketStorageService.purge
-    ImportReport.rejected_total Histogram.quantile PacketTrace.by_app
-    PacketTrace.format_tree all_specs dynamic_port_types
-    AddCustomModuleRequest.from_binary VmMeasurement.mean_path_length
-    SimNetwork.add_multiplexer generate_firewall_rules generate_snort_web_rules
+    TcpFlags.to_text PacketOutcome.forwarded PacketOutcome.effects_key
+    HeadlessBuffer.buffered_total OpenBoxInstance.publish_telemetry
+    OpenBoxInstance.observability_snapshot PacketStorageService.fetch
+    PacketStorageService.purge ImportReport.rejected_total Histogram.quantile
+    all_specs dynamic_port_types AddCustomModuleRequest.from_binary
+    VmMeasurement.mean_path_length SimNetwork.add_multiplexer
+    generate_firewall_rules generate_snort_web_rules
     ChainMeasurement.throughput_mbps ChainMeasurement.latency_us
     ChainMeasurement.latency_percentile_us measure_single
     SaturationResult.utilization_of simulate_saturation

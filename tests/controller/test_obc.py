@@ -216,3 +216,24 @@ class TestAppRequests:
         obi.process_packet(make_tcp_packet("1.2.3.4", "2.2.2.2", 5, 443))
         stats = controller.poll_stats("obi-1")
         assert stats.packets_processed == 1
+
+
+class TestObiDisconnectedHook:
+    def test_hook_fires(self):
+        seen = []
+
+        class HookApp(FunctionApplication):
+            def on_obi_disconnected(self, obi_id):
+                seen.append(obi_id)
+
+        controller = OpenBoxController()
+        obi = OpenBoxInstance(ObiConfig(obi_id="o"))
+        connect_inproc(controller, obi)
+        controller.register_application(
+            HookApp("h", lambda: [AppStatement(graph=build_firewall_graph())])
+        )
+        controller.disconnect_obi("o")
+        assert seen == ["o"]
+        # Double-disconnect is a no-op.
+        controller.disconnect_obi("o")
+        assert seen == ["o"]

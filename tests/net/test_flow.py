@@ -1,9 +1,16 @@
-"""Flow tracking: 5-tuples, bidirectional keys, timeouts, eviction."""
+"""Flow tracking: 5-tuples, direction-folded keys, timeouts, teardown.
+
+LRU eviction and the exhaustion policy are covered in
+``tests/obi/test_flowstate.py``.
+"""
+
+import pytest
 
 from repro.net.builder import make_tcp_packet, make_udp_packet
-from repro.net.flow import FiveTuple, FlowTable
+from repro.net.flow import FiveTuple
 from repro.net.packet import Packet
 from repro.net.tcp import TcpFlags
+from repro.obi.flowstate import FlowStateTable
 
 
 def _pkt(src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=80, **kw):
@@ -37,8 +44,10 @@ class TestFiveTuple:
 
 
 class TestFlowTable:
+    """The OBI's one flow table, :class:`FlowStateTable`."""
+
     def test_observe_creates_and_counts(self):
-        table = FlowTable()
+        table = FlowStateTable()
         flow = table.observe(_pkt(), now=0.0)
         assert flow.packets == 1
         table.observe(_pkt(), now=1.0)
@@ -46,19 +55,13 @@ class TestFlowTable:
         assert len(table) == 1
 
     def test_bidirectional_merges_directions(self):
-        table = FlowTable(bidirectional=True)
+        table = FlowStateTable()
         table.observe(_pkt(), now=0.0)
         table.observe(_pkt(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1000), now=0.1)
         assert len(table) == 1
 
-    def test_unidirectional_keeps_directions_distinct(self):
-        table = FlowTable(bidirectional=False)
-        table.observe(_pkt(), now=0.0)
-        table.observe(_pkt(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1000), now=0.1)
-        assert len(table) == 2
-
     def test_idle_timeout_expiry(self):
-        table = FlowTable(idle_timeout=10.0)
+        table = FlowStateTable(idle_timeout=10.0)
         table.observe(_pkt(), now=0.0)
         table.observe(_pkt(sport=2000), now=8.0)
         expired = table.expire(now=15.0)
@@ -66,41 +69,30 @@ class TestFlowTable:
         assert len(table) == 1
 
     def test_fin_rst_tracking(self):
-        table = FlowTable()
+        table = FlowStateTable()
         flow = table.observe(_pkt(flags=TcpFlags.FIN | TcpFlags.ACK), now=0.0)
         assert flow.fin_seen and flow.closed
         flow2 = table.observe(_pkt(sport=2000, flags=TcpFlags.RST), now=0.0)
         assert flow2.rst_seen
 
-    def test_max_flows_evicts_oldest(self):
-        table = FlowTable(max_flows=2)
-        table.observe(_pkt(sport=1), now=0.0)
-        table.observe(_pkt(sport=2), now=1.0)
-        table.observe(_pkt(sport=3), now=2.0)
-        assert len(table) == 2
-        assert table.evictions == 1
-        remaining_ports = {flow.key.src_port for flow in table}
-        assert 1 not in remaining_ports
-
     def test_remove(self):
-        table = FlowTable()
+        table = FlowStateTable()
         flow = table.observe(_pkt(), now=0.0)
         assert table.remove(flow.key) is flow
         assert table.remove(flow.key) is None
 
     def test_lookup_does_not_create(self):
-        table = FlowTable()
+        table = FlowStateTable()
         assert table.lookup(FiveTuple.of(_pkt())) is None
         assert len(table) == 0
 
     def test_export_state(self):
-        table = FlowTable()
+        table = FlowStateTable()
         flow = table.observe(_pkt(), now=0.0)
         flow.session["tag"] = "suspicious"
         exported = table.export_state()
         assert list(exported.values()) == [{"tag": "suspicious"}]
 
     def test_invalid_timeout_rejected(self):
-        import pytest
         with pytest.raises(ValueError):
-            FlowTable(idle_timeout=0)
+            FlowStateTable(idle_timeout=0)

@@ -1,13 +1,10 @@
-"""Geneve encapsulation and pcap codec tests."""
+"""pcap codec tests."""
 
 import io
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.net.builder import make_tcp_packet
-from repro.net.geneve import GeneveHeader, GeneveOption
 from repro.net.pcap import (
     LINKTYPE_ETHERNET,
     PcapError,
@@ -16,88 +13,6 @@ from repro.net.pcap import (
     read_pcap,
     write_pcap,
 )
-
-
-class TestGeneve:
-    def test_basic_roundtrip(self):
-        header = GeneveHeader(vni=1234)
-        parsed = GeneveHeader.parse(header.serialize())
-        assert parsed.vni == 1234
-        assert parsed.protocol == header.protocol
-
-    def test_metadata_option_roundtrip(self):
-        header = GeneveHeader(vni=1)
-        header.add_metadata(b'{"path": 2}')
-        parsed = GeneveHeader.parse(header.serialize() + b"inner")
-        assert parsed.openbox_metadata() == b'{"path": 2}'
-
-    def test_exact_blob_length_preserved(self):
-        # Padding must not leak into the metadata (length prefix works).
-        for blob in (b"", b"a", b"ab", b"abc", b"abcd", b"abcde"):
-            header = GeneveHeader(vni=1)
-            header.add_metadata(blob)
-            assert GeneveHeader.parse(header.serialize()).openbox_metadata() == blob
-
-    def test_foreign_options_preserved(self):
-        header = GeneveHeader(vni=1)
-        header.options.append(GeneveOption(0x9999, 0x1, b"1234"))
-        header.add_metadata(b"mine")
-        parsed = GeneveHeader.parse(header.serialize())
-        assert parsed.openbox_metadata() == b"mine"
-        assert parsed.options[0].opt_class == 0x9999
-
-    def test_vni_range(self):
-        with pytest.raises(ValueError):
-            GeneveHeader(vni=1 << 24)
-
-    def test_oversized_metadata_rejected(self):
-        header = GeneveHeader(vni=1)
-        with pytest.raises(ValueError):
-            header.add_metadata(b"x" * 123)
-
-    def test_truncated_rejected(self):
-        header = GeneveHeader(vni=1)
-        header.add_metadata(b"payload")
-        wire = header.serialize()
-        with pytest.raises(ValueError):
-            GeneveHeader.parse(wire[:6])
-        with pytest.raises(ValueError):
-            GeneveHeader.parse(wire[:-2])
-
-    def test_header_len_matches(self):
-        header = GeneveHeader(vni=1)
-        header.add_metadata(b"abc")
-        assert header.header_len == len(header.serialize())
-
-    @given(st.integers(0, (1 << 24) - 1), st.binary(max_size=100))
-    def test_roundtrip_property(self, vni, blob):
-        header = GeneveHeader(vni=vni)
-        header.add_metadata(blob)
-        parsed = GeneveHeader.parse(header.serialize())
-        assert parsed.vni == vni
-        assert parsed.openbox_metadata() == blob
-
-
-class TestGeneveElements:
-    def test_encap_decap_roundtrip(self):
-        from repro.core.blocks import Block
-        from tests.obi.test_metadata_elements import _pipeline
-
-        encap_engine = _pipeline(
-            Block("SetMetadata", name="m", config={"values": {"path": 4}}),
-            Block("GeneveEncapsulate", name="e", config={"vni": 77}),
-        )
-        packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 5, 80)
-        original = packet.data
-        wire = encap_engine.process(packet).outputs[0][1]
-        assert GeneveHeader.parse(wire.data).vni == 77
-
-        decap_engine = _pipeline(Block("GeneveDecapsulate", name="d"))
-        fresh = wire.clone()
-        fresh.metadata.clear()
-        result = decap_engine.process(fresh).outputs[0][1]
-        assert result.data == original
-        assert result.metadata == {"path": 4}
 
 
 class TestPcap:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.checksum import verify_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.ip import IpProto, Ipv4Header, int_to_ip, ip_to_int, parse_cidr
 
 
@@ -68,12 +68,12 @@ class TestIpv4Header:
 
     def test_checksum_is_valid(self):
         data = self._header().serialize(payload_len=0)
-        assert verify_checksum(data)
+        assert internet_checksum(data) == 0
 
     def test_checksum_corruption_detected(self):
         data = bytearray(self._header().serialize(payload_len=0))
         data[8] ^= 0x42  # TTL byte
-        assert not verify_checksum(bytes(data))
+        assert internet_checksum(bytes(data)) != 0
 
     def test_flags_and_fragments(self):
         header = self._header(flags=Ipv4Header.FLAG_DF)
@@ -129,4 +129,4 @@ class TestIpv4Header:
         assert (parsed.src, parsed.dst, parsed.proto, parsed.ttl, parsed.dscp) == (
             src, dst, proto, ttl, dscp
         )
-        assert verify_checksum(header.serialize(payload_len=42))
+        assert internet_checksum(header.serialize(payload_len=42)) == 0

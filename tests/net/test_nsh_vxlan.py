@@ -1,4 +1,4 @@
-"""NSH and VXLAN encapsulation tests (the OpenBox metadata channels)."""
+"""NSH encapsulation tests (the OpenBox metadata channel)."""
 
 import pytest
 from hypothesis import given
@@ -9,7 +9,6 @@ from repro.net.nsh import (
     NshContextHeader,
     NshHeader,
 )
-from repro.net.vxlan import VxlanHeader, decap_with_metadata, encap_with_metadata
 
 
 class TestNshHeader:
@@ -82,38 +81,3 @@ class TestNshHeader:
         parsed = NshHeader.parse(header.serialize() + b"inner-frame")
         assert parsed.spi == spi and parsed.si == si
         assert parsed.openbox_metadata() == (blob if blob else None)
-
-
-class TestVxlan:
-    def test_header_roundtrip(self):
-        parsed = VxlanHeader.parse(VxlanHeader(vni=12345).serialize())
-        assert parsed.vni == 12345
-
-    def test_vni_range(self):
-        with pytest.raises(ValueError):
-            VxlanHeader(vni=1 << 24)
-
-    def test_i_flag_required(self):
-        raw = bytearray(VxlanHeader(vni=5).serialize())
-        raw[0] = 0
-        with pytest.raises(ValueError):
-            VxlanHeader.parse(bytes(raw))
-
-    def test_metadata_shim_roundtrip(self):
-        wire = encap_with_metadata(7, b"meta", b"inner")
-        header, metadata, inner = decap_with_metadata(wire)
-        assert header.vni == 7
-        assert metadata == b"meta"
-        assert inner == b"inner"
-
-    def test_truncated_shim_rejected(self):
-        wire = encap_with_metadata(7, b"meta", b"inner")
-        with pytest.raises(ValueError):
-            decap_with_metadata(wire[:9])
-
-    @given(st.integers(0, (1 << 24) - 1), st.binary(max_size=64), st.binary(max_size=256))
-    def test_shim_roundtrip_property(self, vni, metadata, inner):
-        header, meta, frame = decap_with_metadata(
-            encap_with_metadata(vni, metadata, inner)
-        )
-        assert (header.vni, meta, frame) == (vni, metadata, inner)

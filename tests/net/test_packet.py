@@ -1,7 +1,7 @@
 """Packet buffer: lazy parsing, mutation, rebuild, clone semantics."""
 
 from repro.net.builder import make_http_get, make_tcp_packet, make_udp_packet
-from repro.net.checksum import pseudo_header_sum, verify_checksum
+from repro.net.checksum import internet_checksum, pseudo_header_sum
 from repro.net.ip import IpProto, ip_to_int
 from repro.net.packet import Packet
 from repro.net.tcp import TcpHeader
@@ -55,10 +55,10 @@ class TestMutation:
         assert fresh.ipv4.dst_text == "9.9.9.9"
         assert fresh.tcp.dst_port == 8080
         ip_start = fresh.eth.header_len
-        assert verify_checksum(fresh.data[ip_start : ip_start + 20])
+        assert internet_checksum(fresh.data[ip_start : ip_start + 20]) == 0
         segment = fresh.data[ip_start + fresh.ipv4.header_len :]
         initial = pseudo_header_sum(fresh.ipv4.src, fresh.ipv4.dst, IpProto.TCP, len(segment))
-        assert verify_checksum(segment, initial)
+        assert internet_checksum(segment, initial) == 0
 
     def test_rebuild_without_dirty_is_noop(self):
         packet = make_tcp_packet("1.2.3.4", "5.6.7.8", 10, 20)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.checksum import pseudo_header_sum, verify_checksum
+from repro.net.checksum import internet_checksum, pseudo_header_sum
 from repro.net.ip import IpProto, ip_to_int
 from repro.net.tcp import TcpFlags, TcpHeader
 from repro.net.udp import UdpHeader
@@ -40,13 +40,13 @@ class TestTcpHeader:
         payload = b"hello world"
         segment = TcpHeader(src_port=1, dst_port=2).serialize(payload, SRC, DST)
         initial = pseudo_header_sum(SRC, DST, IpProto.TCP, len(segment))
-        assert verify_checksum(segment, initial)
+        assert internet_checksum(segment, initial) == 0
 
     def test_checksum_detects_payload_corruption(self):
         segment = bytearray(TcpHeader(src_port=1, dst_port=2).serialize(b"data", SRC, DST))
         segment[-1] ^= 0x55
         initial = pseudo_header_sum(SRC, DST, IpProto.TCP, len(segment))
-        assert not verify_checksum(bytes(segment), initial)
+        assert internet_checksum(bytes(segment), initial) != 0
 
     def test_options_roundtrip(self):
         header = TcpHeader(src_port=1, dst_port=2, options=b"\x02\x04\x05\xb4")
@@ -90,7 +90,7 @@ class TestUdpHeader:
     def test_checksum_valid(self):
         datagram = UdpHeader(src_port=1, dst_port=2).serialize(b"xyz", SRC, DST)
         initial = pseudo_header_sum(SRC, DST, IpProto.UDP, len(datagram))
-        assert verify_checksum(datagram, initial)
+        assert internet_checksum(datagram, initial) == 0
 
     def test_zero_checksum_transmitted_as_ffff(self):
         # Craft payloads until the computed checksum would be zero is
@@ -111,4 +111,4 @@ class TestUdpHeader:
     def test_checksum_property(self, payload):
         datagram = UdpHeader(src_port=7, dst_port=9).serialize(payload, SRC, DST)
         initial = pseudo_header_sum(SRC, DST, IpProto.UDP, len(datagram))
-        assert verify_checksum(datagram, initial)
+        assert internet_checksum(datagram, initial) == 0

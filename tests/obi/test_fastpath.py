@@ -10,8 +10,12 @@ import pytest
 
 from repro.bootstrap import connect_inproc
 from repro.controller.obc import OpenBoxController
+from repro.core.blocks import Block, block_registry
+from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet, make_udp_packet
 from repro.net.packet import Packet
+from repro.obi.elements import element_registry
+from repro.obi.engine import Element
 from repro.obi.fastpath import DecisionRecorder, FlowDecisionCache, flow_key
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.obi.robustness import OverloadPolicy
@@ -422,3 +426,46 @@ class TestRoutingNeutralHandles:
             "default_port": 2,
         })
         assert engine.flow_cache.invalidations == 1
+
+
+#: The smallest config each built-in type with required params accepts.
+MINIMAL_CONFIGS = {
+    "FromDevice": {"devname": "i"},
+    "ToDevice": {"devname": "o"},
+    "FromDump": {"filename": "in.pcap"},
+    "ToDump": {"filename": "out.pcap"},
+    "HeaderClassifier": {"rules": []},
+    "VlanClassifier": {"rules": []},
+    "RegexClassifier": {"patterns": []},
+    "HeaderPayloadClassifier": {"rules": []},
+    "ProtocolAnalyzer": {"protocols": {}},
+    "MetadataClassifier": {"key": "k"},
+    "NetworkHeaderFieldRewriter": {"fields": {}},
+    "Ipv4AddressTranslator": {"mappings": {}},
+    "VlanEncapsulate": {"vid": 5},
+    "NshEncapsulate": {"spi": 1},
+    "SetMetadata": {"values": {}},
+    "HttpCacheResponder": {"cache": {}},
+    "BpsShaper": {"bps": 1000},
+    "PpsShaper": {"pps": 1000},
+    "SessionTag": {"key": "k", "value": "v"},
+}
+
+
+@pytest.mark.parametrize("type_name", sorted(element_registry))
+def test_cacheability_is_declared_once_on_the_spec(type_name):
+    """A built-in type says whether it is cacheable on its spec only;
+    the element class inherits ``Element.cacheable`` untouched."""
+    for klass in element_registry[type_name].__mro__:
+        if klass is Element:
+            break
+        assert "cacheable" not in vars(klass), klass.__name__
+    graph = ProcessingGraph(type_name)
+    block = graph.add_block(
+        Block(type_name, name="x", config=MINIMAL_CONFIGS.get(type_name, {}))
+    )
+    if type_name not in ("FromDevice", "FromDump"):
+        source = graph.add_block(Block("FromDevice", name="src", config={"devname": "i"}))
+        graph.connect(source, block, 0)
+    engine = build_engine(graph)
+    assert engine.elements["x"].cacheable is block_registry.get(type_name).cacheable

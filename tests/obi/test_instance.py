@@ -75,11 +75,34 @@ class TestGraphDeployment:
         assert response.code == ErrorCode.INVALID_GRAPH
         assert obi.engine is None  # old state untouched
 
-    def test_unknown_block_type_rejected(self, obi):
-        broken = {"name": "g", "blocks": [{"type": "NoSuchBlock", "name": "x"}],
-                  "connectors": []}
+    # The retired tunnel encapsulations are unknown types like any other:
+    # NSH is the one inter-OBI metadata channel.
+    @pytest.mark.parametrize(
+        "block_type", ["NoSuchBlock", "VxlanEncapsulate", "GeneveDecapsulate"]
+    )
+    def test_unknown_block_type_rejected(self, obi, firewall_graph, block_type):
+        deploy(obi, firewall_graph)
+        broken = {
+            "name": "g",
+            "blocks": [
+                {"type": "FromDevice", "name": "r", "config": {"devname": "i"}},
+                {"type": block_type, "name": "x", "config": {"vni": 7}},
+                {"type": "ToDevice", "name": "o", "config": {"devname": "o"}},
+            ],
+            "connectors": [
+                {"src": "r", "src_port": 0, "dst": "x"},
+                {"src": "x", "src_port": 0, "dst": "o"},
+            ],
+        }
         response = obi.handle_message(SetProcessingGraphRequest(graph=broken))
         assert isinstance(response, ErrorMessage)
+        assert response.code == ErrorCode.INVALID_GRAPH
+        assert block_type in response.detail
+        # The previous graph keeps serving.
+        assert obi.graph_version == 1
+        assert obi.process_packet(
+            make_tcp_packet("10.0.0.1", "2.2.2.2", 5, 23)
+        ).dropped
 
     def test_failed_redeploy_keeps_old_graph(self, obi, firewall_graph):
         deploy(obi, firewall_graph)

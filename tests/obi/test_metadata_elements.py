@@ -1,4 +1,4 @@
-"""NSH/VXLAN metadata transfer elements and MetadataCodec tests."""
+"""NSH metadata transfer elements and MetadataCodec tests."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,29 +88,6 @@ class TestNshElements:
         outcome = engine.process(make_tcp_packet("1.1.1.1", "2.2.2.2", 5, 80))
         assert outcome.forwarded  # passes through unchanged
         assert engine.read_handle("d", "decap_errors") == 1
-
-
-class TestVxlanElements:
-    def test_encap_decap_roundtrip(self):
-        encap_engine = _pipeline(
-            Block("SetMetadata", name="m", config={"values": {"tenant": 9}}),
-            Block("VxlanEncapsulate", name="e", config={"vni": 100}),
-        )
-        packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 5, 80)
-        original = packet.data
-        wire = encap_engine.process(packet).outputs[0][1]
-
-        decap_engine = _pipeline(Block("VxlanDecapsulate", name="d"))
-        fresh = wire.clone()
-        fresh.metadata.clear()
-        result = decap_engine.process(fresh).outputs[0][1]
-        assert result.data == original
-        assert result.metadata == {"tenant": 9}
-
-    def test_decap_garbage_passes_through(self):
-        engine = _pipeline(Block("VxlanDecapsulate", name="d"))
-        outcome = engine.process(make_tcp_packet("1.1.1.1", "2.2.2.2", 5, 80))
-        assert outcome.forwarded
 
 
 class TestMetadataClassifier:

@@ -105,3 +105,15 @@ class TestThroughputRegion(object):
     def test_static_region_shape(self):
         region = throughput_region(100.0, 50.0)
         assert region["static"] == [(100.0, 0.0), (100.0, 50.0), (0.0, 50.0)]
+
+
+class TestRunnerPercentiles:
+    def test_latency_percentiles_ordered(self):
+        app = FirewallApp("fw", parse_firewall_rules("allow any any any any any"))
+        packets = TrafficGenerator(TraceConfig(num_packets=200)).packets()
+        result = measure_single(app, packets)
+        p50 = result.latency_percentile_us(50)
+        p99 = result.latency_percentile_us(99)
+        assert p50 <= result.latency_us * 1.2
+        assert p50 <= p99
+        assert p99 >= result.latency_us  # the tail is above the mean
