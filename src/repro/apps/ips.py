@@ -10,8 +10,10 @@ The parser handles the Snort subset those rules need::
         (msg:"WEB attack"; content:"/etc/passwd"; nocase; sid:1001;)
 
 Supported options: ``msg``, ``content`` (one or more, with ``nocase``),
-``pcre``, ``sid``. Address variables resolve through a supplied
-variable map.
+``pcre`` (``/body/modifiers`` with modifiers ``i``, ``s``, ``m``, ``x``),
+``sid``. Address variables resolve through a supplied variable map. As
+in Snort, a rule fires only when every one of its content and pcre
+options matches the payload.
 
 The generated graph follows Figure 2(b): a header classifier splits
 traffic into rule groups (by destination port), and each group gets a
@@ -41,13 +43,35 @@ _RULE_RE = re.compile(
 _OPTION_RE = re.compile(r'(?P<key>\w+)\s*(?::\s*(?P<value>"(?:[^"\\]|\\.)*"|[^;]*))?;')
 
 
+#: pcre modifiers other than ``i`` that Python's ``re`` takes as inline flags.
+_PCRE_FLAGS = "smx"
+
+
 @dataclass
 class SnortContent:
-    """One content/pcre option of a rule."""
+    """One content/pcre option of a rule.
+
+    ``pattern`` is the literal text, or a pcre's body; ``flags`` holds a
+    pcre's ``s``/``m``/``x`` modifiers (its ``i`` is ``nocase``).
+    """
 
     pattern: str
     nocase: bool = False
     is_pcre: bool = False
+    flags: str = ""
+
+    def standalone(self) -> str:
+        """The pattern as a RegexClassifier takes it: each pcre flag
+        becomes a leading inline group such as ``(?s)``."""
+        return "".join(f"(?{flag})" for flag in self.flags) + self.pattern
+
+    def lookahead(self) -> str:
+        """A zero-width ``(?=...)`` that holds when this option matches
+        anywhere after the start of the payload. Only the skip-ahead
+        ``.*?`` crosses newlines; a pcre's own ``.`` keeps its flags."""
+        body = self.pattern if self.is_pcre else re.escape(self.pattern)
+        flags = self.flags + ("i" if self.nocase else "")
+        return f"(?=(?s:.*?)(?{flags}:{body}))"
 
 
 @dataclass
@@ -136,14 +160,58 @@ def parse_snort_rules(
             elif key == "nocase" and nocase_target is not None:
                 nocase_target.nocase = True
             elif key == "pcre":
-                pcre = _unquote(value)
-                nocase = pcre.endswith("i")
-                body = pcre.strip("/").rstrip("i").rstrip("/")
-                rule.contents.append(
-                    SnortContent(pattern=body, nocase=nocase, is_pcre=True)
-                )
+                rule.contents.append(_parse_pcre(_unquote(value), line_no))
         rules.append(rule)
     return rules
+
+
+def _parse_pcre(pcre: str, line_no: int) -> SnortContent:
+    """Split a Snort ``/body/modifiers`` pcre option.
+
+    A value without the leading ``/`` is kept verbatim as a case-sensitive
+    regex: ``generate_snort_web_rules`` writes its pcre options without
+    the closing ``;``, so their value runs on into ``sid:``, and the
+    benchmark's IPS graphs are built from those rules.
+    """
+    head, _sep, modifiers = pcre.rpartition("/")
+    if not head.startswith("/"):
+        return SnortContent(pattern=pcre, is_pcre=True)
+    content = SnortContent(pattern=head[1:], is_pcre=True)
+    for modifier in modifiers:
+        if modifier == "i":
+            content.nocase = True
+        elif modifier in _PCRE_FLAGS:
+            content.flags += modifier
+        else:
+            raise ValueError(
+                f"line {line_no}: unsupported pcre modifier {modifier!r}"
+            )
+    return content
+
+
+def _payload_pattern(rule: SnortRule) -> dict:
+    """The RegexClassifier pattern for ``rule`` (without its port).
+
+    A rule with one option keeps that option's own pattern. With several,
+    every option must match, so they become one regex of lookaheads
+    anchored at ``\\A``: a miss costs one pass per option rather than a
+    search from every offset.
+    """
+    if not rule.contents:
+        # Header-only rule: its header part alone fires the alert. A
+        # catch-all pattern routes every packet of the group to it.
+        return {"pattern": "", "is_regex": True}
+    if len(rule.contents) == 1:
+        content = rule.contents[0]
+        return {
+            "pattern": content.standalone(),
+            "is_regex": content.is_pcre,
+            "case_sensitive": not content.nocase,
+        }
+    return {
+        "pattern": "\\A" + "".join(c.lookahead() for c in rule.contents),
+        "is_regex": True,
+    }
 
 
 class IpsApp(OpenBoxApplication):
@@ -238,20 +306,7 @@ class IpsApp(OpenBoxApplication):
             graph.connect(classify, regex, group_port)
             graph.connect(regex, out, 0)
             for rule_index, rule in enumerate(rules):
-                if not rule.contents:
-                    # Header-only rule: its header part alone fires the
-                    # alert. Use a catch-all pattern so the regex stage
-                    # always routes it to its alert.
-                    patterns.append({"pattern": "", "is_regex": True,
-                                     "port": rule_index + 1})
-                else:
-                    content = rule.contents[0]
-                    patterns.append({
-                        "pattern": content.pattern,
-                        "is_regex": content.is_pcre,
-                        "case_sensitive": not content.nocase,
-                        "port": rule_index + 1,
-                    })
+                patterns.append({**_payload_pattern(rule), "port": rule_index + 1})
                 alert = Block(
                     "Alert",
                     name=f"{self.name}_alert_{group_index}_{rule_index}",

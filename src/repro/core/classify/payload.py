@@ -42,10 +42,10 @@ class HeaderPayloadRule:
 
 
 class HeaderPayloadRuleSet:
-    """Ordered combined rules with a shared payload-pattern automaton.
+    """Ordered combined rules with one shared payload-pattern set.
 
-    Matching evaluates payload patterns once (one multi-pattern pass)
-    and then walks rules in priority order, so the per-packet cost is
+    Matching evaluates payload patterns once (``match_all``) and then
+    walks rules in priority order, so the per-packet cost is
     one DPI scan plus header checks — the cost structure the paper's
     cost accounting assumes for IPS-style blocks.
     """

@@ -1,25 +1,28 @@
 """Payload pattern matching for RegexClassifier blocks.
 
 Snort-style rule sets are dominated by literal ``content`` patterns with
-the occasional true regular expression (``pcre``). We therefore match the
-way production IPS engines do:
+the occasional true regular expression (``pcre``). A RegexClassifier
+reports the *highest-priority* (lowest index) matching pattern, which
+gives deterministic first-match semantics like the header classifiers.
 
-* all literal patterns are compiled into a single :class:`AhoCorasick`
-  automaton (built from scratch: goto/failure/output functions) and
-  matched in one pass over the payload;
-* true regexes are compiled with :mod:`re` and evaluated individually.
+:class:`RegexRuleSet` compiles its patterns once into an ordered scan
+and tests them one by one in index order, each test a single call into
+C: ``needle in payload`` for a literal, the same against
+``payload.lower()`` for a nocase literal, and the compiled ``search``
+for a regex. The first hit is the answer, so a match stops the walk.
 
-The classifier reports the *highest-priority* (lowest index) matching
-pattern, which gives deterministic first-match semantics like the header
-classifiers.
+A multi-pattern automaton is pattern-count independent, but in Python
+it pays an interpreted step per payload byte. The DPI engine ablation
+(``benchmarks/test_ablation_dpi_split.py``) has the scan ahead up to 50
+literals per group and the automaton ahead from 200; the IPS groups
+built from 120 synthetic Snort web rules hold 11 to 42 patterns.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterator
 
 
 @dataclass(frozen=True)
@@ -49,129 +52,34 @@ class RegexPattern:
         )
 
 
-class AhoCorasick:
-    """Multi-pattern literal matcher (Aho-Corasick automaton).
-
-    Patterns are byte strings; matching runs in O(payload length +
-    matches). ``find_first`` returns the lowest pattern id whose pattern
-    occurs in the haystack, which is what first-match classification
-    needs; ``find_all`` returns every (pattern id, end offset) occurrence.
-    """
-
-    def __init__(self, patterns: Iterable[bytes]) -> None:
-        self._patterns = [bytes(pattern) for pattern in patterns]
-        if any(not pattern for pattern in self._patterns):
-            raise ValueError("empty pattern not allowed")
-        # goto function: list of dicts byte -> state
-        self._goto: list[dict[int, int]] = [{}]
-        # output: pattern ids terminating at each state
-        self._output: list[list[int]] = [[]]
-        self._fail: list[int] = [0]
-        for pattern_id, pattern in enumerate(self._patterns):
-            self._add(pattern_id, pattern)
-        self._build_failure_links()
-
-    def _add(self, pattern_id: int, pattern: bytes) -> None:
-        state = 0
-        for byte in pattern:
-            nxt = self._goto[state].get(byte)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto.append({})
-                self._output.append([])
-                self._fail.append(0)
-                self._goto[state][byte] = nxt
-            state = nxt
-        self._output[state].append(pattern_id)
-
-    def _build_failure_links(self) -> None:
-        queue: deque[int] = deque()
-        for state in self._goto[0].values():
-            self._fail[state] = 0
-            queue.append(state)
-        while queue:
-            state = queue.popleft()
-            for byte, nxt in self._goto[state].items():
-                queue.append(nxt)
-                fallback = self._fail[state]
-                while fallback and byte not in self._goto[fallback]:
-                    fallback = self._fail[fallback]
-                self._fail[nxt] = self._goto[fallback].get(byte, 0)
-                if self._fail[nxt] == nxt:
-                    self._fail[nxt] = 0
-                self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
-
-    def _step(self, state: int, byte: int) -> int:
-        while state and byte not in self._goto[state]:
-            state = self._fail[state]
-        return self._goto[state].get(byte, 0)
-
-    def find_all(self, haystack: bytes) -> list[tuple[int, int]]:
-        """All matches as (pattern id, end offset) pairs."""
-        matches: list[tuple[int, int]] = []
-        state = 0
-        for offset, byte in enumerate(haystack):
-            state = self._step(state, byte)
-            for pattern_id in self._output[state]:
-                matches.append((pattern_id, offset + 1))
-        return matches
-
-    def find_first(self, haystack: bytes) -> int | None:
-        """Lowest pattern id occurring in ``haystack``, or None.
-
-        Scans the whole haystack (a later position may hold a
-        lower-id pattern), tracking the minimum id seen.
-        """
-        best: int | None = None
-        state = 0
-        for byte in haystack:
-            state = self._step(state, byte)
-            for pattern_id in self._output[state]:
-                if best is None or pattern_id < best:
-                    if pattern_id == 0:
-                        return 0
-                    best = pattern_id
-        return best
-
-    def contains_any(self, haystack: bytes) -> bool:
-        state = 0
-        for byte in haystack:
-            state = self._step(state, byte)
-            if self._output[state]:
-                return True
-        return False
+#: Kinds of one scan entry: how its needle tests a payload.
+_LITERAL, _NOCASE, _REGEX = 0, 1, 2
 
 
 class RegexRuleSet:
     """A compiled RegexClassifier configuration.
 
-    Splits patterns into a literal set (one Aho-Corasick pass) and a
-    regex list (individual :mod:`re` evaluation), then reports the
-    highest-priority match across both.
+    ``_scan`` holds one ``(index, kind, needle)`` entry per pattern in
+    index order; ``_hits`` walks it for both matching methods.
     """
 
     def __init__(self, patterns: list[RegexPattern], default_port: int = 0) -> None:
         self.patterns = list(patterns)
         self.default_port = default_port
-        cs_literals: list[bytes] = []
-        self._cs_ids: list[int] = []
-        ci_literals: list[bytes] = []
-        self._ci_ids: list[int] = []
-        self._regexes: list[tuple[int, re.Pattern[bytes]]] = []
+        self._scan: list[tuple[int, int, bytes | Callable[[bytes], Any]]] = []
         for index, spec in enumerate(self.patterns):
+            encoded = spec.pattern.encode("latin-1")
             if spec.is_regex:
                 flags = 0 if spec.case_sensitive else re.IGNORECASE
-                self._regexes.append(
-                    (index, re.compile(spec.pattern.encode("latin-1"), flags))
-                )
+                self._scan.append((index, _REGEX, re.compile(encoded, flags).search))
+            elif not encoded:
+                # An empty literal would match every payload; a rule set
+                # arriving from outside with one is malformed.
+                raise ValueError(f"pattern {index}: empty literal not allowed")
             elif spec.case_sensitive:
-                cs_literals.append(spec.pattern.encode("latin-1"))
-                self._cs_ids.append(index)
+                self._scan.append((index, _LITERAL, encoded))
             else:
-                ci_literals.append(spec.pattern.encode("latin-1").lower())
-                self._ci_ids.append(index)
-        self._cs_automaton = AhoCorasick(cs_literals) if cs_literals else None
-        self._ci_automaton = AhoCorasick(ci_literals) if ci_literals else None
+                self._scan.append((index, _NOCASE, encoded.lower()))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -187,45 +95,29 @@ class RegexRuleSet:
             "default_port": self.default_port,
         }
 
-    def first_match_index(self, payload: bytes) -> int | None:
-        """Index of the highest-priority matching pattern, or None.
+    def _hits(self, payload: bytes) -> Iterator[int]:
+        """Indexes of the patterns ``payload`` matches, in index order,
+        each found only when the caller asks for the next one."""
+        lowered = None
+        for index, kind, needle in self._scan:
+            if kind == _LITERAL:
+                hit = needle in payload
+            elif kind == _NOCASE:
+                if lowered is None:
+                    lowered = payload.lower()
+                hit = needle in lowered
+            else:
+                hit = needle(payload)
+            if hit:
+                yield index
 
-        The per-automaton id lists are built in pattern-index order, so
-        the lowest automaton id maps to the lowest original index within
-        each automaton; the overall winner is the minimum across sources.
-        """
-        best: int | None = None
-        if self._cs_automaton is not None:
-            hit = self._cs_automaton.find_first(payload)
-            if hit is not None:
-                best = self._cs_ids[hit]
-        if self._ci_automaton is not None:
-            hit = self._ci_automaton.find_first(payload.lower())
-            if hit is not None:
-                index = self._ci_ids[hit]
-                if best is None or index < best:
-                    best = index
-        for index, compiled in self._regexes:
-            if best is not None and index > best:
-                continue
-            if compiled.search(payload):
-                if best is None or index < best:
-                    best = index
-        return best
+    def first_match_index(self, payload: bytes) -> int | None:
+        """Index of the highest-priority matching pattern, or None."""
+        return next(self._hits(payload), None)
 
     def match_all(self, payload: bytes) -> set[int]:
-        """Indexes of *every* matching pattern (single multi-pattern pass)."""
-        matched: set[int] = set()
-        if self._cs_automaton is not None:
-            for hit, _offset in self._cs_automaton.find_all(payload):
-                matched.add(self._cs_ids[hit])
-        if self._ci_automaton is not None:
-            for hit, _offset in self._ci_automaton.find_all(payload.lower()):
-                matched.add(self._ci_ids[hit])
-        for index, compiled in self._regexes:
-            if compiled.search(payload):
-                matched.add(index)
-        return matched
+        """Indexes of *every* matching pattern."""
+        return set(self._hits(payload))
 
     def classify(self, payload: bytes) -> int:
         """Output port for ``payload`` (default port when nothing matches)."""
@@ -233,7 +125,3 @@ class RegexRuleSet:
         if index is None:
             return self.default_port
         return self.patterns[index].port
-
-    def matching_pattern(self, payload: bytes) -> RegexPattern | None:
-        index = self.first_match_index(payload)
-        return self.patterns[index] if index is not None else None

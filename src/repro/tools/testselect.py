@@ -671,8 +671,7 @@ ORPHAN_ALLOWLIST = frozenset("""
     OptimizationReport.total_changes ReplicationHub.lag
     ScalingManager.register_group ScalingManager.group_of
     ObiStatsTracker.live_obis TrafficSteering.register_chain
-    TrafficSteering.set_selector AhoCorasick.contains_any
-    RegexRuleSet.matching_pattern TcamMatcher.entry_count
+    TrafficSteering.set_selector TcamMatcher.entry_count
     ProcessingGraph.iter_paths ProcessingGraph.classifiers make_http_get
     MacAddress.broadcast MacAddress.is_broadcast MacAddress.is_multicast
     Ipv4Header.src_text Ipv4Header.dst_text NshHeader.decrement_si

@@ -19,6 +19,17 @@ RULES = (
 VARIABLES = {"EXTERNAL_NET": "any", "HOME_NET": "any"}
 
 
+def _alert_messages(rules):
+    """Payload -> alert messages of an IPS built from ``rules`` (dport 80)."""
+    engine = build_engine(IpsApp("ips", rules).build_graph())
+
+    def alerts(payload):
+        packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 5, 80, payload=payload)
+        return [alert.message for alert in engine.process(packet).alerts]
+
+    return alerts
+
+
 class TestSnortParser:
     def test_parses_rules(self):
         rules = parse_snort_rules(RULES, VARIABLES)
@@ -64,6 +75,27 @@ class TestSnortParser:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
             parse_snort_rules('alert gre any any -> any any (msg:"x"; sid:1;)')
+
+    @pytest.mark.parametrize("pcre, pattern, nocase", [
+        ("/wiki/", "wiki", False),  # a body's own trailing i is kept
+        ("/ii/", "ii", False),
+        ("/a/smi", "(?s)(?m)a", True),
+        ("/union\\s+select/i", "union\\s+select", True),
+    ])
+    def test_pcre_delimiters_and_modifiers(self, pcre, pattern, nocase):
+        rule = parse_snort_rules(
+            f'alert tcp any any -> any 80 (msg:"p"; pcre:"{pcre}"; sid:6;)'
+        )[0]
+        [content] = rule.contents
+        assert content.is_pcre and content.nocase is nocase
+        assert content.standalone() == pattern
+
+    def test_unknown_pcre_modifier_names_its_line(self):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_snort_rules(
+                "# header\n"
+                'alert tcp any any -> any 80 (msg:"p"; pcre:"/a/q"; sid:7;)'
+            )
 
     def test_escaped_quote_in_content(self):
         rules = parse_snort_rules(
@@ -137,6 +169,37 @@ class TestIpsBehaviour:
             make_tcp_packet("1.1.1.1", "192.168.1.1", 5, 80, payload=b"aaa bbb")
         )
         assert len(outcome.alerts) == 1
+
+    def test_pcre_body_ending_in_i_is_not_a_catch_all(self):
+        rules = parse_snort_rules(
+            'alert tcp any any -> any 80 (msg:"ii"; pcre:"/ii/"; sid:1;)\n'
+            'alert tcp any any -> any 80 (msg:"dotall"; pcre:"/a.b/s"; sid:2;)\n'
+        )
+        alerts = _alert_messages(rules)
+        assert alerts(b"benign") == []
+        assert alerts(b"skiing") == ["ii"]
+        assert alerts(b"a\nb") == ["dotall"]
+
+    def test_every_content_of_a_rule_must_match(self):
+        """Snort ANDs a rule's options; a GET alone is not the attack."""
+        rules = parse_snort_rules(
+            'alert tcp any any -> any 80 (msg:"passwd via GET"; '
+            'content:"GET"; content:"/ETC/passwd"; nocase; sid:1;)'
+        )
+        # Anchored, a miss is one pass per option, not one per offset.
+        [pattern] = [
+            spec["pattern"]
+            for block in IpsApp("ips", rules).build_graph().blocks.values()
+            if block.type == "RegexClassifier"
+            for spec in block.config["patterns"]
+        ]
+        assert pattern.startswith("\\A")
+        alerts = _alert_messages(rules)
+        assert alerts(b"GET /index.html HTTP/1.1") == []
+        assert alerts(b"POST /etc/passwd HTTP/1.1") == []
+        # The options may appear in any order, across lines.
+        assert alerts(b"GET /x HTTP/1.1\r\nRef: /etc/PASSWD") == ["passwd via GET"]
+        assert alerts(b"x=/etc/passwd\nGET") == ["passwd via GET"]
 
     def test_clean_traffic_passes(self):
         outcome = self._engine().process(

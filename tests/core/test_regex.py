@@ -1,12 +1,11 @@
-"""Aho-Corasick and RegexRuleSet tests (reference-checked against re)."""
-
-import re
+"""RegexRuleSet tests, checked against the reference Aho-Corasick automaton."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.classify.regex import AhoCorasick, RegexPattern, RegexRuleSet
+from repro.core.classify.regex import RegexPattern, RegexRuleSet
+from tests.core.aho_corasick import AhoCorasick, AutomatonRuleSet
 
 
 class TestAhoCorasick:
@@ -136,10 +135,15 @@ class TestRegexRuleSet:
         assert again.classify(b"yaz") == 2
         assert again.classify(b"none") == 5
 
-    def test_matching_pattern_object(self):
-        ruleset = self._ruleset({"pattern": "hit", "port": 1})
-        assert ruleset.matching_pattern(b"a hit!").pattern == "hit"
-        assert ruleset.matching_pattern(b"miss") is None
+    @pytest.mark.parametrize("case_sensitive", [True, False])
+    def test_empty_literal_rejected(self, case_sensitive):
+        with pytest.raises(ValueError):
+            self._ruleset(
+                {"pattern": "ok", "port": 1},
+                {"pattern": "", "case_sensitive": case_sensitive, "port": 2},
+            )
+        # An empty regex is a catch-all, not an error.
+        assert self._ruleset({"pattern": "", "is_regex": True}).classify(b"") == 1
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -159,3 +163,46 @@ class TestRegexRuleSet:
                 expected = index + 1
                 break
         assert ruleset.classify(payload) == expected
+
+
+# Letters in both cases plus non-ASCII Latin-1 bytes, which bytes.lower()
+# leaves alone: a small alphabet makes overlaps and shared prefixes common.
+_ALPHABET = "abAB\xe4\xc4\xff"
+_REGEXES = ["", "a+b", "[aA]b?", "\xe4.", "^a", "b$", "(?:ab|ba)", "\xc4+"]
+
+_literal = st.builds(
+    RegexPattern,
+    pattern=st.text(alphabet=_ALPHABET, min_size=1, max_size=4),
+    case_sensitive=st.booleans(),
+)
+_regex = st.builds(
+    RegexPattern,
+    pattern=st.sampled_from(_REGEXES),
+    is_regex=st.just(True),
+    case_sensitive=st.booleans(),
+)
+
+
+@st.composite
+def _ruleset_and_payload(draw):
+    specs = draw(st.lists(st.one_of(_literal, _literal, _regex), min_size=1, max_size=8))
+    edges = [spec.pattern for spec in specs if not spec.is_regex] + [""]
+    head = draw(st.sampled_from(edges))
+    tail = draw(st.sampled_from(edges))
+    body = draw(st.text(alphabet=_ALPHABET + " ", max_size=24))
+    return specs, (head + body + tail).encode("latin-1")
+
+
+class TestScanMatchesAutomaton:
+    @settings(max_examples=400, deadline=None)
+    @given(_ruleset_and_payload())
+    def test_first_match_and_match_all(self, drawn):
+        """The ordered scan answers exactly as the automaton-backed set.
+
+        Payloads may be empty and start or end with a drawn literal.
+        """
+        specs, payload = drawn
+        production = RegexRuleSet(specs)
+        reference = AutomatonRuleSet(specs)
+        assert production.first_match_index(payload) == reference.first_match_index(payload)
+        assert production.match_all(payload) == reference.match_all(payload)
