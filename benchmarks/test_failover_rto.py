@@ -38,8 +38,7 @@ from repro.controller.replication import ReplicationHub, StandbyController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.transport.inproc import InProcPair
-from tests.conftest import build_firewall_graph, build_ips_graph
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import FakeClock, build_firewall_graph, build_ips_graph
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_failover.json"
 

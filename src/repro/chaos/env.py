@@ -131,6 +131,12 @@ class ChaosEnv:
     ``seed`` feeds every probabilistic instrument. The environment comes
     up healthy: lease acquired (epoch 1), firewall app deployed fleetwide,
     keepalives beaconing on the virtual clock.
+
+    ``transport:<obi>`` names the live channel from the controller that
+    dialed the OBI: a revive re-points it at the fresh channel, under
+    the same plan. A :meth:`fail_over` does not: the point keeps naming
+    the deposed leader's link, which is what ghost partitions and their
+    heal steps act on.
     """
 
     def __init__(
@@ -210,12 +216,12 @@ class ChaosEnv:
         # -- OBIs + transport layer -------------------------------------
         self.obis: dict[str, OpenBoxInstance] = {}
         self.pairs: dict[str, InProcPair] = {}
-        self.channels: dict[str, FaultyChannel] = {}
-        for index, name in enumerate(self.obi_ids):
-            self.obis[name] = self._connect_obi(
-                name, headless_buffer,
-                transport_plan or FaultPlan(seed=seed + index + 1),
-            )
+        self._plans = {
+            name: transport_plan or FaultPlan(seed=seed + index + 1)
+            for index, name in enumerate(self.obi_ids)
+        }
+        for name in self.obi_ids:
+            self.obis[name] = self._connect_obi(name, headless_buffer)
 
         # -- data plane (packet conservation closes over this chain) ----
         self.src = self.net.add_host("src")
@@ -276,8 +282,8 @@ class ChaosEnv:
     # ------------------------------------------------------------------
     # Topology helpers
     # ------------------------------------------------------------------
-    def _connect_obi(self, name: str, headless_buffer: int,
-                     plan: FaultPlan) -> "OpenBoxInstance":
+    def _connect_obi(self, name: str,
+                     headless_buffer: int) -> "OpenBoxInstance":
         obi = OpenBoxInstance(
             ObiConfig(
                 obi_id=name, segment="corp",
@@ -290,25 +296,24 @@ class ChaosEnv:
         )
         self.pairs[name] = connect_inproc(
             self.leader, obi,
-            wrap_downstream=lambda ch: FaultyChannel(ch, plan),
+            wrap_downstream=lambda ch: FaultyChannel(ch, self._plans[name]),
         )
-        channel = self.leader.obis[name].channel
-        self.channels[name] = channel
-        self.registry.register(f"transport:{name}", "transport", channel,
+        self.registry.register(f"transport:{name}", "transport",
+                               self.leader.obis[name].channel,
                                f"controller -> {name} channel")
         return obi
 
     def _revive_obi(self, name: str) -> None:
-        """Reconnect a killed OBI to the active controller."""
+        """Reconnect a killed OBI to the active controller over a fresh
+        channel with the OBI's own plan, and point ``transport:<name>``
+        at it."""
         controller = self.active
-        pair = reconnect_inproc(
+        reconnect_inproc(
             controller, self.obis[name], self.pairs[name],
-            wrap_downstream=lambda ch: FaultyChannel(
-                ch, FaultPlan(seed=self.seed)
-            ),
+            wrap_downstream=lambda ch: FaultyChannel(ch, self._plans[name]),
         )
-        self.pairs[name] = pair
-        self.channels[name] = controller.obis[name].channel
+        self.registry.retarget(f"transport:{name}",
+                               controller.obis[name].channel)
 
     @property
     def active(self) -> OpenBoxController:
@@ -399,9 +404,6 @@ class ChaosEnv:
             won = rehome_inproc(obi, [("c1", None), ("c2", promoted)])
             if won is not None:
                 self.pairs[obi.config.obi_id] = won[1]
-                self.channels[obi.config.obi_id] = (
-                    promoted.obis[obi.config.obi_id].channel
-                )
         self.promoted = promoted
         self.promoted_loop = OrchestrationLoop(
             promoted,

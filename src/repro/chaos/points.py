@@ -20,7 +20,7 @@ instead of reaching into topology internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator
 
 LAYERS = ("transport", "storage", "clock", "process")
@@ -97,6 +97,13 @@ class ChaosRegistry:
         point = FaultPoint(
             name=name, layer=layer, target=target, description=description
         )
+        self._points[name] = point
+        return point
+
+    def retarget(self, name: str, target: Any) -> FaultPoint:
+        """Point ``name`` at a new live instrument (a process came back
+        with a fresh channel); layer and description are kept."""
+        point = replace(self.get(name), target=target)
         self._points[name] = point
         return point
 

@@ -129,6 +129,23 @@ class TestRunnerMechanics:
         assert second.ok
         assert env.injected == 5
 
+    def test_transport_point_follows_a_revived_obi(self, tmp_path):
+        # A revive dials a fresh channel: the point must name it, under
+        # the OBI's own plan, or later transport faults hit a dead link.
+        result = ScenarioRunner().run(scenario_of(
+            step("kill", point="process:obi-1"),
+            step("revive", point="process:obi-1"),
+            step("partition", point="transport:obi-1", mode="both"),
+            step("deploy", obi="obi-1"),
+        ), str(tmp_path))
+        assert result.ok, result.summary()
+        assert result.observations[-1]["outcome"] is not True
+        env = result.env
+        channel = env.point("transport:obi-1")
+        assert channel is env.leader.obis["obi-1"].channel
+        assert channel.partition_drops == 1
+        assert channel.plan.seed == env.seed + 1
+
     def test_run_needs_root_or_env(self):
         with pytest.raises(ValueError):
             ScenarioRunner().run(scenario_of(step("tick")))

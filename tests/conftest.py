@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical graphs, packets, and wiring helpers.
+"""Shared fixtures: canonical graphs, packets, a fake clock, and the
+one-controller-one-OBI wiring helper (``connected``).
 
 Also hosts the tier-1 determinism guard: test code must not call bare
 ``time.sleep``/``time.time`` (wall-clock coupling makes runs flaky and
@@ -18,6 +19,7 @@ from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_http_get, make_tcp_packet, make_udp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
+from repro.protocol.messages import ErrorMessage, SetProcessingGraphRequest
 
 
 def build_firewall_graph(name: str = "fw") -> ProcessingGraph:
@@ -187,6 +189,41 @@ def _forbid_wall_clock_in_tests():
         yield
     finally:
         time.sleep, time.time = real_sleep, real_time
+
+
+class FakeClock:
+    """A clock that moves only when told: ``clock()`` reads it,
+    ``clock.advance(dt)`` moves it."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+    def advance(self, dt: float) -> None:
+        self.t += dt
+
+
+def connected(
+    clock: FakeClock | None = None,
+    config: ObiConfig | None = None,
+    **config_kwargs,
+) -> tuple[OpenBoxController, OpenBoxInstance]:
+    """A controller and one OBI (``o1`` in segment ``corp`` unless
+    ``config`` says otherwise) on one clock, connected in-process and
+    running the Figure 2(a) firewall, deployed through
+    ``controller.send``."""
+    clock = FakeClock() if clock is None else clock
+    config = config or ObiConfig(obi_id="o1", segment="corp", **config_kwargs)
+    controller = OpenBoxController(clock=clock)
+    obi = OpenBoxInstance(config, clock=clock)
+    connect_inproc(controller, obi)
+    response = controller.send(config.obi_id, SetProcessingGraphRequest(
+        graph=build_firewall_graph().to_dict()
+    ))
+    assert not isinstance(response, ErrorMessage), response
+    return controller, obi
 
 
 @pytest.fixture

@@ -12,9 +12,8 @@ from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.errors import ErrorCode
 from repro.protocol.messages import ErrorMessage, JournalStream, LeaseAnnounce, ReplicaAck
 from repro.transport.inproc import InProcPair
-from tests.conftest import build_firewall_graph
+from tests.conftest import FakeClock, build_firewall_graph
 from tests.controller.test_recovery import _fw_app, _ips_app
-from tests.obi.test_instance_robustness import FakeClock
 
 
 def make_leader(tmp_path, clock=None, fsync_every=1, compact_every=256):

@@ -7,151 +7,105 @@ fresh controller recovers from the journal, and the anti-entropy loop
 converges every OBI back onto the intended graphs: adopting where
 reality already matches (no duplicate deploy side effects), re-pushing
 where it does not. The stale predecessor is fenced by generation.
+
+Every test runs on the standard chaos topology
+(:class:`~repro.chaos.ChaosEnv`): recover-in-place restarts the leader
+from its own journal at the same address, and the scenario class at the
+end drives the standby-failover expression of the same crash.
 """
 
 import pytest
 
-from repro.bootstrap import connect_inproc, reconnect_inproc
-from repro.chaos import Scenario, ScenarioRunner, step
-from repro.controller.apps import AppStatement, FunctionApplication
-from repro.controller.journal import StateJournal
+from repro.bootstrap import reconnect_inproc
+from repro.chaos import ChaosEnv, Scenario, ScenarioRunner, step
+from repro.chaos.env import _APP_FACTORIES, PACKETS
 from repro.controller.obc import OpenBoxController
 from repro.controller.reconcile import AntiEntropyLoop
-from repro.net.builder import make_tcp_packet
-from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.errors import ErrorCode, ProtocolError
-from tests.conftest import build_firewall_graph, build_ips_graph
-from tests.obi.test_instance_robustness import FakeClock
 
 pytestmark = pytest.mark.chaos
 
 
-def _fw_app():
-    return FunctionApplication(
-        "fw", lambda: [AppStatement(graph=build_firewall_graph("fw"))],
-        priority=1,
+def crashed(tmp_path, headless_buffer=256):
+    """SIGKILL the leader mid-deploy and ride out a 120 s outage.
+
+    Returns the environment and each OBI's graph version at the crash.
+    """
+    env = ChaosEnv(tmp_path, headless_buffer=headless_buffer)
+    env.half_deploy()
+    versions = {name: obi.graph_version for name, obi in env.obis.items()}
+    env.kill_leader()
+    env.advance(120.0)
+    return env, versions
+
+
+def recover(env, **kwargs):
+    """Restart the leader in place: same journal, same address, and
+    every OBI re-Hellos over its reopened pair."""
+    recovered = OpenBoxController.recover(
+        env.leader.journal.path,
+        applications=[factory() for factory in _APP_FACTORIES.values()],
+        clock=env.leader_clock, storage=env.leader_storage, **kwargs,
     )
-
-
-def _ips_app():
-    return FunctionApplication(
-        "ips", lambda: [AppStatement(graph=build_ips_graph("ips"))],
-        priority=2,
-    )
-
-
-def alert_packet():
-    return make_tcp_packet("44.0.0.1", "192.168.0.9", 1234, 22)
-
-
-def pass_packet():
-    return make_tcp_packet("44.0.0.1", "192.168.0.9", 9999, 12345)
-
-
-class CrashScenario:
-    """Build the pre-crash world: two OBIs, a deploy cut short halfway."""
-
-    def __init__(self, tmp_path, headless_buffer=256):
-        self.clock = FakeClock()
-        self.path = str(tmp_path / "obc.journal")
-        self.controller = OpenBoxController(
-            clock=self.clock,
-            journal=StateJournal(self.path, fsync_every=1),
-        )
-        self.obis = {}
-        self.pairs = {}
-        for obi_id in ("obi-1", "obi-2"):
-            obi = OpenBoxInstance(
-                ObiConfig(obi_id=obi_id, segment="corp", headless_after=30.0,
-                          headless_buffer=headless_buffer),
-                clock=self.clock,
-            )
-            self.pairs[obi_id] = connect_inproc(self.controller, obi)
-            self.obis[obi_id] = obi
-        self.controller.register_application(_fw_app())
-        # Mid-deploy crash: the second application reaches obi-1 but the
-        # controller dies before deploying it to obi-2.
-        self.controller.auto_deploy = False
-        self.controller.register_application(_ips_app())
-        self.controller.deploy("obi-1")
-        # -- SIGKILL here: no close(), no flush beyond what fsync_every=1
-        # already forced, the object is simply abandoned. --
-        self.versions = {name: obi.graph_version
-                         for name, obi in self.obis.items()}
-
-    def outage(self, seconds=120.0):
-        self.clock.advance(seconds)
-
-    def recover(self):
-        recovered = OpenBoxController.recover(
-            self.path, applications=[_fw_app(), _ips_app()], clock=self.clock
-        )
-        for obi_id, obi in self.obis.items():
-            reconnect_inproc(recovered, obi, self.pairs[obi_id])
-        return recovered
+    for name, obi in env.obis.items():
+        reconnect_inproc(recovered, obi, env.pairs[name])
+    return recovered
 
 
 class TestCrashMidDeploy:
     def test_anti_entropy_converges_every_obi(self, tmp_path):
-        scenario = CrashScenario(tmp_path)
-        scenario.outage()
-        recovered = scenario.recover()
+        env, _ = crashed(tmp_path)
+        recovered = recover(env)
         loop = AntiEntropyLoop(recovered)
         rounds = loop.run_until_converged()
         assert rounds[-1].all_converged
         assert loop.converged()
-        for obi_id, obi in scenario.obis.items():
+        for obi_id, obi in env.obis.items():
             handle = recovered.obis[obi_id]
             assert handle.reported_digest == handle.intended_digest
             assert obi.graph_digest == handle.intended_digest
 
     def test_adopt_vs_push_split(self, tmp_path):
-        scenario = CrashScenario(tmp_path)
-        scenario.outage()
-        recovered = scenario.recover()
+        env, versions = crashed(tmp_path)
+        recovered = recover(env)
         # obi-1 already runs fw+ips: adopted during reconnect, never
         # re-pushed — its graph version must not move (the "no duplicate
         # deploy side effects" acceptance clause). obi-2 missed the ips
         # deploy: exactly one push brings it up to date.
-        assert scenario.obis["obi-1"].graph_version == \
-            scenario.versions["obi-1"]
-        assert scenario.obis["obi-2"].graph_version == \
-            scenario.versions["obi-2"] + 1
+        assert env.obis["obi-1"].graph_version == versions["obi-1"]
+        assert env.obis["obi-2"].graph_version == versions["obi-2"] + 1
         # Convergence is stable: further rounds do nothing.
         loop = AntiEntropyLoop(recovered)
         report = loop.reconcile()
         assert report.all_converged
         assert not report.pushed and not report.adopted
-        assert scenario.obis["obi-2"].graph_version == \
-            scenario.versions["obi-2"] + 1
+        assert env.obis["obi-2"].graph_version == versions["obi-2"] + 1
 
     def test_headless_obis_lose_zero_packets(self, tmp_path):
-        scenario = CrashScenario(tmp_path)
-        scenario.outage()
+        env, _ = crashed(tmp_path)
         delivered = 0
-        for obi in scenario.obis.values():
+        for obi in env.obis.values():
             assert obi.is_headless()
             for _ in range(50):
-                outcome = obi.process_packet(pass_packet())
+                outcome = obi.process_packet(PACKETS["pass"]())
                 assert not outcome.dropped and not outcome.shed
                 delivered += bool(outcome.outputs)
         assert delivered == 100
-        scenario.recover()
-        for obi in scenario.obis.values():
+        recover(env)
+        for obi in env.obis.values():
             assert not obi.is_headless()
 
     def test_buffered_events_replayed_with_drop_accounting(self, tmp_path):
-        scenario = CrashScenario(tmp_path, headless_buffer=4)
-        scenario.outage()
-        obi = scenario.obis["obi-1"]
+        env, _ = crashed(tmp_path, headless_buffer=4)
+        obi = env.obis["obi-1"]
         assert obi.is_headless()
         for _ in range(10):
-            scenario.clock.advance(1.0)
-            obi.process_packet(alert_packet())
+            env.advance(1.0)
+            obi.process_packet(PACKETS["alert"]())
         assert len(obi.headless_buffer) == 4
         assert obi.headless_buffer.dropped == 6
 
-        recovered = scenario.recover()
+        recovered = recover(env)
 
         assert len(obi.headless_buffer) == 0
         mine = [a for a in recovered.alerts if a.obi_id == "obi-1"]
@@ -163,16 +117,15 @@ class TestCrashMidDeploy:
         assert summaries[0].count == 6
 
     def test_generation_fences_the_dead_controllers_ghost(self, tmp_path):
-        scenario = CrashScenario(tmp_path)
-        scenario.outage()
-        recovered = scenario.recover()
-        assert recovered.generation > scenario.controller.generation
+        env, _ = crashed(tmp_path)
+        recovered = recover(env)
+        assert recovered.generation > env.leader.generation
         # The pre-crash controller object lingers (a partitioned ghost,
         # not a corpse) and tries to finish its interrupted deploy.
         with pytest.raises(ProtocolError) as excinfo:
-            scenario.controller.deploy("obi-2")
+            env.leader.deploy("obi-2")
         assert excinfo.value.code == ErrorCode.STALE_GENERATION
-        assert scenario.controller.superseded
+        assert env.leader.superseded
         # The ghost's rejection never perturbed the converged fleet.
         loop = AntiEntropyLoop(recovered)
         assert loop.reconcile().all_converged
@@ -181,25 +134,17 @@ class TestCrashMidDeploy:
         # Crash, recover, converge — then crash *again* and make sure
         # the journal written by the recovered controller is itself a
         # sufficient basis for the next recovery.
-        scenario = CrashScenario(tmp_path)
-        scenario.outage()
-        first = scenario.recover()
+        env, versions = crashed(tmp_path)
+        first = recover(env)
         AntiEntropyLoop(first).run_until_converged()
-        scenario.outage(60.0)
-        second = OpenBoxController.recover(
-            scenario.path, applications=[_fw_app(), _ips_app()],
-            clock=scenario.clock,
-        )
+        env.advance(60.0)
+        second = recover(env)
         assert second.generation == first.generation + 1
-        for obi_id, obi in scenario.obis.items():
-            reconnect_inproc(second, obi, scenario.pairs[obi_id])
         loop = AntiEntropyLoop(second)
         assert loop.run_until_converged()[-1].all_converged
         # Still no pushes needed: both OBIs kept their graphs throughout.
-        assert scenario.obis["obi-1"].graph_version == \
-            scenario.versions["obi-1"]
-        assert scenario.obis["obi-2"].graph_version == \
-            scenario.versions["obi-2"] + 1
+        assert env.obis["obi-1"].graph_version == versions["obi-1"]
+        assert env.obis["obi-2"].graph_version == versions["obi-2"] + 1
 
 
 class TestOrchestratorIntegration:
@@ -207,14 +152,8 @@ class TestOrchestratorIntegration:
         from repro.controller.orchestrator import OrchestrationLoop
         from repro.controller.scaling import ScalingManager, ScalingPolicy
 
-        scenario = CrashScenario(tmp_path)
-        scenario.outage()
-        recovered = OpenBoxController.recover(
-            scenario.path, applications=[_fw_app(), _ips_app()],
-            clock=scenario.clock, auto_deploy=False,
-        )
-        for obi_id, obi in scenario.obis.items():
-            reconnect_inproc(recovered, obi, scenario.pairs[obi_id])
+        env, _ = crashed(tmp_path)
+        recovered = recover(env, auto_deploy=False)
         scaling = ScalingManager(recovered.stats, provisioner=None,
                                  policy=ScalingPolicy())
         loop = OrchestrationLoop(recovered, scaling)
@@ -227,18 +166,15 @@ class TestOrchestratorIntegration:
 
 
 class TestCrashMidDeployScenario:
-    """The SIGKILL-mid-deploy drive, migrated onto the declarative chaos
-    engine (``repro.chaos``, docs/CHAOS.md).
+    """The SIGKILL-mid-deploy drive as a declarative chaos scenario
+    (``repro.chaos``, docs/CHAOS.md): the standby-failover expression
+    of the crash the classes above recover in place.
 
-    Same fault sequence, now expressed as a replayable seeded
-    :class:`Scenario` with every system-wide invariant (split-brain
-    fencing, telemetry, packet conservation, digest agreement, journal
-    replay) re-checked after **every** step; the runner's ``env=``
-    phases let the test observe the world mid-schedule exactly where
-    the hand-rolled drive did, so every original assertion survives.
-    The :class:`CrashScenario` tests above remain the coverage for the
-    recover-in-place path (same address, same journal); this class
-    covers the standby-failover expression of the same crash.
+    The fault sequence is a replayable seeded :class:`Scenario` with
+    every system-wide invariant (split-brain fencing, telemetry, packet
+    conservation, digest agreement, journal replay) re-checked after
+    **every** step; the runner's ``env=`` phases let the test observe
+    the world mid-schedule (headless, adopted, pushed, fenced).
     """
 
     SEED = 11
@@ -287,9 +223,11 @@ class TestCrashMidDeployScenario:
         self, tmp_path
     ):
         runner, env, versions, _ = self._crashed_world(tmp_path)
-        self._run(runner, "crash:failover",
-                  [step("fail_over"), step("tick", n=2), step("converge")],
-                  env=env)
+        failover = self._run(
+            runner, "crash:failover",
+            [step("fail_over"), step("tick", n=2), step("converge")], env=env,
+        )
+        assert failover.observations[-1]["outcome"] is True  # converged
         # obi-1 already ran fw+ips (adopted, no duplicate push); obi-2
         # missed the ips deploy and gets exactly one push.
         assert env.obis["obi-1"].graph_version == versions["obi-1"]
@@ -307,8 +245,10 @@ class TestCrashMidDeployScenario:
         promoted = env.promoted
         assert promoted is not None
         assert promoted.generation > generation
+        assert promoted.generation >= env.standby_lease.epoch
         for obi in env.obis.values():
             assert obi.highest_controller_generation == promoted.generation
+            assert obi.rehomed_to == "c2"  # the dead address is skipped
         after = {name: obi.graph_version
                  for name, obi in env.obis.items()}
         ghost = self._run(runner, "crash:ghost", [step("ghost_deploy")],

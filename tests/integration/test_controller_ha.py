@@ -7,320 +7,57 @@ the OBIs re-home to it: headless buffers replay to the *new* leader,
 anti-entropy converges the half-deployed intent, and the old leader's
 ghost gets ``stale_generation`` everywhere it turns. Zero packets are
 dropped by headless-buffered OBIs and ``split_brain_accepts == 0``.
+
+Every test runs on the standard chaos topology
+(:class:`~repro.chaos.ChaosEnv`); the crash-and-fail-over drive itself
+is ``TestCrashMidDeployScenario`` in ``test_controller_crash.py``.
 """
 
 import pytest
 
-from repro.bootstrap import connect_inproc, rehome_inproc
-from repro.chaos import Scenario, ScenarioRunner, step
-from repro.controller.apps import AppStatement, FunctionApplication
+from repro.bootstrap import rehome_inproc
+from repro.chaos import ChaosEnv, Scenario, ScenarioRunner, step
+from repro.chaos.env import _APP_FACTORIES, LEASE_TTL
 from repro.controller.journal import StateJournal
-from repro.controller.lease import InProcLeaseStore, LeaseManager
 from repro.controller.obc import OpenBoxController
-from repro.controller.orchestrator import OrchestrationLoop
 from repro.controller.reconcile import AntiEntropyLoop
-from repro.controller.replication import ReplicationHub, StandbyController
-from repro.controller.scaling import ScalingManager, ScalingPolicy
-from repro.net.builder import make_tcp_packet
-from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.errors import ErrorCode, ProtocolError
-from repro.transport.faults import FaultPlan, FaultyChannel
-from repro.transport.inproc import InProcPair
-from tests.conftest import build_firewall_graph, build_ips_graph
-from tests.obi.test_instance_robustness import FakeClock
+from repro.protocol.messages import KeepAlive
 
 pytestmark = pytest.mark.chaos
 
-LEASE_TTL = 30.0
 
-
-def _fw_app():
-    return FunctionApplication(
-        "fw", lambda: [AppStatement(graph=build_firewall_graph("fw"))],
-        priority=1,
-    )
-
-
-def _ips_app():
-    return FunctionApplication(
-        "ips", lambda: [AppStatement(graph=build_ips_graph("ips"))],
-        priority=2,
-    )
-
-
-def alert_packet():
-    return make_tcp_packet("44.0.0.1", "192.168.0.9", 1234, 22)
-
-
-def pass_packet():
-    return make_tcp_packet("44.0.0.1", "192.168.0.9", 9999, 12345)
-
-
-class HAScenario:
-    """Leader + hot standby + two OBIs, a deploy cut short halfway.
-
-    The leader is lease-managed and drives replication through its
-    orchestration loop; the standby tails the journal over an
-    in-process replication channel. ``wrap_downstream`` interposes a
-    chaos proxy on every controller→OBI channel.
-    """
-
-    def __init__(self, tmp_path, headless_buffer=256, wrap_downstream=None):
-        self.clock = FakeClock()
-        self.store = InProcLeaseStore()
-        self.leader_lease = LeaseManager(
-            "c1", self.store, ttl=LEASE_TTL, clock=self.clock
-        )
-        self.standby_lease = LeaseManager(
-            "c2", self.store, ttl=LEASE_TTL, clock=self.clock
-        )
-        self.leader = OpenBoxController(
-            clock=self.clock,
-            journal=StateJournal(str(tmp_path / "leader.journal"),
-                                 fsync_every=1),
-        )
-        self.hub = ReplicationHub(
-            self.leader, leader_id="c1", endpoints=["c1", "c2"]
-        )
-        self.standby = StandbyController(
-            "c2", tmp_path / "replica.journal", clock=self.clock
-        )
-        replica_link = InProcPair("c1", "standby:c2")
-        replica_link.right.set_handler(self.standby.handle_message)
-        self.hub.attach("c2", replica_link.left)
-        self.replica_link = replica_link
-
-        self.obis = {}
-        self.pairs = {}
-        self.faulty = {}
-        for obi_id in ("obi-1", "obi-2"):
-            obi = OpenBoxInstance(
-                ObiConfig(obi_id=obi_id, segment="corp", headless_after=30.0,
-                          headless_buffer=headless_buffer),
-                clock=self.clock,
-            )
-            self.pairs[obi_id] = connect_inproc(
-                self.leader, obi, wrap_downstream=wrap_downstream
-            )
-            if wrap_downstream is not None:
-                self.faulty[obi_id] = self.leader.obis[obi_id].channel
-            self.obis[obi_id] = obi
-
-        scaling = ScalingManager(self.leader.stats, provisioner=None,
-                                 policy=ScalingPolicy())
-        self.loop = OrchestrationLoop(
-            self.leader, scaling,
-            lease=self.leader_lease, replication=self.hub,
-        )
-        # First tick: acquire the lease (epoch 1 == fresh generation 1),
-        # announce, and replicate the bootstrap journal.
-        self.loop.tick()
-
-        self.leader.register_application(_fw_app())
-        # Mid-deploy crash window: the second application reaches obi-1
-        # but the leader dies before deploying it to obi-2. The journal
-        # (and thus the standby, after the sync tick) knows the intent.
-        self.leader.auto_deploy = False
-        self.leader.register_application(_ips_app())
-        self.leader.deploy("obi-1")
-        # The journal delta (including the partial deploy) reaches the
-        # standby, but the leader dies before its next orchestration
-        # tick — so no anti-entropy round ever healed the half-deploy.
-        self.hub.sync()
-        self.versions = {name: obi.graph_version
-                         for name, obi in self.obis.items()}
-
-    # ------------------------------------------------------------------
-    def kill_leader(self):
-        """SIGKILL: no close(), no flush beyond fsync_every=1; every
-        channel to the dead process starts refusing."""
-        for pair in self.pairs.values():
-            pair.close()
-        self.replica_link.close()
-
-    def outage(self, seconds=LEASE_TTL * 2):
-        self.clock.advance(seconds)
-
-    def fail_over(self):
-        """The standby's side of §12: lease, takeover, re-homing."""
-        lease = self.standby_lease.tick()
-        assert lease is not None, "lease must be acquirable after expiry"
-        promoted = self.standby.take_over(
-            lease, applications=[_fw_app(), _ips_app()]
-        )
-        rehomed = {}
-        for obi_id, obi in self.obis.items():
-            won = rehome_inproc(obi, [("c1", None), ("c2", promoted)])
-            assert won is not None
-            rehomed[obi_id] = won[0]
-        self.promoted = promoted
-        return promoted, rehomed
+def failed_over(tmp_path):
+    """Half-deploy, SIGKILL the leader, let its lease lapse, promote
+    the standby."""
+    env = ChaosEnv(tmp_path)
+    env.half_deploy()
+    env.kill_leader()
+    env.advance(LEASE_TTL * 2 + 1.0)
+    promoted = env.fail_over()
+    assert promoted is not None, "lease must be acquirable after expiry"
+    return env, promoted
 
 
 class TestLeaderCrashFailover:
-    def test_standby_converges_the_half_deployed_fleet(self, tmp_path):
-        scenario = HAScenario(tmp_path)
-        scenario.kill_leader()
-        scenario.outage()
-        promoted, rehomed = scenario.fail_over()
-        assert set(rehomed.values()) == {"c2"}  # dead address skipped
-        loop = AntiEntropyLoop(promoted)
-        assert loop.run_until_converged()[-1].all_converged
-        # obi-1 already ran fw+ips (adopted, no duplicate push); obi-2
-        # missed the ips deploy and gets exactly one push.
-        assert scenario.obis["obi-1"].graph_version == \
-            scenario.versions["obi-1"]
-        assert scenario.obis["obi-2"].graph_version == \
-            scenario.versions["obi-2"] + 1
-
-    def test_promotion_is_epoch_fenced_above_the_dead_leader(self, tmp_path):
-        scenario = HAScenario(tmp_path)
-        old_generation = scenario.leader.generation
-        scenario.kill_leader()
-        scenario.outage()
-        promoted, _ = scenario.fail_over()
-        assert promoted.generation > old_generation
-        assert promoted.generation >= scenario.standby_lease.epoch
-        for obi in scenario.obis.values():
-            assert obi.highest_controller_generation == promoted.generation
-
-    def test_zero_packets_dropped_across_the_failover(self, tmp_path):
-        scenario = HAScenario(tmp_path)
-        scenario.kill_leader()
-        scenario.outage()
-        delivered = 0
-        for obi in scenario.obis.values():
-            assert obi.is_headless()
-            for _ in range(50):
-                outcome = obi.process_packet(pass_packet())
-                assert not outcome.dropped and not outcome.shed
-                delivered += bool(outcome.outputs)
-        assert delivered == 100
-        scenario.fail_over()
-        for obi in scenario.obis.values():
-            assert not obi.is_headless()
-
-    def test_headless_buffer_replays_to_the_new_leader(self, tmp_path):
-        """Satellite: the reconnect target is a *different* controller —
-        the buffered events (and the drop-summary alert) must arrive at
-        whoever won the lease, not the controller they were born under."""
-        scenario = HAScenario(tmp_path, headless_buffer=4)
-        scenario.kill_leader()
-        scenario.outage()
-        obi = scenario.obis["obi-1"]
-        assert obi.is_headless()
-        for _ in range(10):
-            scenario.clock.advance(1.0)
-            obi.process_packet(alert_packet())
-        assert obi.headless_buffer.dropped == 6
-        pre_failover_leader_alerts = len(scenario.leader.alerts)
-
-        promoted, _ = scenario.fail_over()
-
-        assert len(obi.headless_buffer) == 0
-        mine = [a for a in promoted.alerts if a.obi_id == "obi-1"]
-        survivors = [a for a in mine if "dropped while headless"
-                     not in a.message]
-        summaries = [a for a in mine if "dropped while headless" in a.message]
-        assert len(survivors) == 4
-        assert len(summaries) == 1 and summaries[0].count == 6
-        # The dead leader heard nothing after its demise.
-        assert len(scenario.leader.alerts) == pre_failover_leader_alerts
-
     def test_failover_survives_a_second_failover(self, tmp_path):
-        scenario = HAScenario(tmp_path)
-        scenario.kill_leader()
-        scenario.outage()
-        promoted, _ = scenario.fail_over()
-        AntiEntropyLoop(promoted).run_until_converged()
+        env, promoted = failed_over(tmp_path)
+        assert env.converge()
         # The promoted controller now journals; a third controller can
         # recover from *its* journal after it too dies.
-        scenario.clock.advance(LEASE_TTL * 2)
-        lease = scenario.store.acquire("c3", ttl=LEASE_TTL,
-                                       now=scenario.clock())
+        env.advance(LEASE_TTL * 2)
+        lease = env.store.acquire("c3", ttl=LEASE_TTL,
+                                  now=env.standby_clock())
         third = OpenBoxController.recover(
-            scenario.standby.path,
-            applications=[_fw_app(), _ips_app()], clock=scenario.clock,
+            env.standby.path,
+            applications=[factory() for factory in _APP_FACTORIES.values()],
+            clock=env.standby_clock, storage=env.standby_storage,
         )
         third.adopt_epoch(lease.epoch)
         assert third.generation > promoted.generation
-        for obi in scenario.obis.values():
+        for obi in env.obis.values():
             assert rehome_inproc(obi, [("c2", None), ("c3", third)])
         assert AntiEntropyLoop(third).run_until_converged()[-1].all_converged
-
-
-class TestSplitBrain:
-    """The leader survives, partitioned: cut off from the lease store
-    (and the standby) while its channels to the OBIs still work — the
-    asymmetric case where fencing has to do all the work."""
-
-    def _split(self, tmp_path, partition_mode):
-        scenario = HAScenario(
-            tmp_path,
-            wrap_downstream=lambda ch: FaultyChannel(ch, FaultPlan()),
-        )
-        scenario.store.partition("c1")
-        scenario.replica_link.close()  # standby unreachable from leader
-        for chaos in scenario.faulty.values():
-            chaos.partition(partition_mode)
-        return scenario
-
-    @pytest.mark.parametrize("partition_mode", ["rx", "both"])
-    def test_zero_split_brain_accepts(self, tmp_path, partition_mode):
-        scenario = self._split(tmp_path, partition_mode)
-
-        # Inside its lease the partitioned leader may still act (its
-        # grant is valid); past expiry its own tick demotes it and the
-        # loop does nothing southbound — no store round trip needed.
-        report = scenario.loop.tick()
-        assert report.leader
-        scenario.outage()  # lease lapses in absentia
-        report = scenario.loop.tick()
-        assert not report.leader
-        assert not report.polled and not report.reconcile_pushed
-
-        promoted, _ = scenario.fail_over()
-        AntiEntropyLoop(promoted).run_until_converged()
-        versions = {n: o.graph_version for n, o in scenario.obis.items()}
-
-        # The ghost ignores its demotion and pushes anyway, straight
-        # through its (rx-partitioned) channels. Under "rx" the OBI
-        # *receives* every push — and must fence it.
-        split_brain_accepts = 0
-        for obi_id in scenario.obis:
-            try:
-                scenario.leader.deploy(obi_id)
-                split_brain_accepts += 1
-            except Exception:  # noqa: BLE001 - timeout or stale, both fine
-                pass
-        assert split_brain_accepts == 0
-        assert all(scenario.obis[n].graph_version == versions[n]
-                   for n in scenario.obis)
-        if partition_mode == "rx":
-            # The pushes really arrived (asymmetric cut) and were
-            # rejected by the epoch fence, not lost in transit.
-            assert sum(o.stale_generation_rejections
-                       for o in scenario.obis.values()) >= 2
-
-    def test_healed_ghost_stands_down(self, tmp_path):
-        scenario = self._split(tmp_path, "rx")
-        scenario.outage()
-        scenario.loop.tick()
-        promoted, _ = scenario.fail_over()
-        AntiEntropyLoop(promoted).run_until_converged()
-        # Partition heals: the ghost's next tick reaches the store,
-        # finds the standby's live lease, and stays a follower.
-        scenario.store.heal("c1")
-        for chaos in scenario.faulty.values():
-            chaos.heal()
-        report = scenario.loop.tick()
-        assert not report.leader
-        assert not scenario.leader_lease.is_leader(scenario.clock())
-        # A direct ghost push is fenced and flips superseded.
-        with pytest.raises(ProtocolError) as excinfo:
-            scenario.leader.deploy("obi-1")
-        assert excinfo.value.code == ErrorCode.STALE_GENERATION
-        assert scenario.leader.superseded
 
 
 class TestAntiEntropyVsRecoverRace:
@@ -328,21 +65,16 @@ class TestAntiEntropyVsRecoverRace:
     successor must not adopt digests or push graphs."""
 
     def test_ghost_round_stops_before_adopt(self, tmp_path):
-        scenario = HAScenario(tmp_path)
-        scenario.kill_leader()
-        scenario.outage()
-        promoted, _ = scenario.fail_over()
-        AntiEntropyLoop(promoted).run_until_converged()
+        env, _ = failed_over(tmp_path)
+        assert env.converge()
 
-        ghost = scenario.leader
+        ghost = env.leader
         journal_before = StateJournal.replay(ghost.journal.path).state
         # A late keepalive from the re-homed OBI reaches the ghost: its
         # digest matches the ghost's own intent (same apps), and its
         # epoch betrays the successor. The fence must fire BEFORE the
         # matching digest can be adopted into the ghost's journal.
-        from repro.protocol.messages import KeepAlive
-
-        obi = scenario.obis["obi-1"]
+        obi = env.obis["obi-1"]
         ghost.handle_message(KeepAlive(
             obi_id="obi-1", graph_version=obi.graph_version,
             graph_digest=obi.graph_digest, epoch=obi.highest_controller_generation,
@@ -356,13 +88,8 @@ class TestAntiEntropyVsRecoverRace:
         assert journal_after.obis == journal_before.obis
 
     def test_ghost_keepalive_path_also_fences(self, tmp_path):
-        from repro.protocol.messages import KeepAlive
-
-        scenario = HAScenario(tmp_path)
-        scenario.kill_leader()
-        scenario.outage()
-        promoted, _ = scenario.fail_over()
-        ghost = scenario.leader
+        env, promoted = failed_over(tmp_path)
+        ghost = env.leader
         ghost.handle_message(KeepAlive(
             obi_id="obi-1",
             epoch=promoted.generation,
@@ -374,18 +101,17 @@ class TestAntiEntropyVsRecoverRace:
 
 
 class TestSplitBrainScenario:
-    """:class:`TestSplitBrain`, migrated onto the declarative chaos
-    engine (``repro.chaos``, docs/CHAOS.md).
-
-    The same asymmetric partition — leader alive but cut off from the
+    """Split brain: the leader survives, partitioned — cut off from the
     lease store and the standby while its OBI channels still (half)
-    work — expressed as a replayable seeded :class:`Scenario`, with
-    every system-wide invariant re-checked after **every** step. The
-    ``split_brain_accepts`` invariant now *is* the headline assertion:
-    a fencing hole fails the scenario at the exact ghost-push step.
-    Phase-split runs against one environment preserve every original
-    assertion, including the ones the step vocabulary does not carry
-    (tick report internals, per-OBI fence counters).
+    work, the asymmetric case where fencing has to do all the work.
+
+    A replayable seeded :class:`Scenario` (``repro.chaos``,
+    docs/CHAOS.md) with every system-wide invariant re-checked after
+    **every** step. The ``split_brain_accepts`` invariant is the
+    headline assertion: a fencing hole fails the scenario at the exact
+    ghost-push step. Phase-split runs against one environment also
+    check what the step vocabulary does not carry (tick report
+    internals, per-OBI fence counters).
     """
 
     SEED = 13

@@ -19,19 +19,9 @@ from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.obi.robustness import FaultPolicy
 from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK
 from repro.protocol.messages import ReadRequest, SetProcessingGraphRequest
+from tests.conftest import FakeClock
 
 pytestmark = pytest.mark.chaos
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
 
 
 class EveryNthFaulty(Element):
@@ -72,9 +62,8 @@ def build_world(period=3, threshold=4):
     graph.add_blocks([read, flaky, out])
     graph.connect(read, flaky)
     graph.connect(flaky, out)
-    obi.handle_message(SetProcessingGraphRequest(
-        graph=graph.to_dict(), epoch=controller.generation
-    ))
+    controller.send("chaos-obi",
+                    SetProcessingGraphRequest(graph=graph.to_dict()))
     return controller, obi, clock
 
 
@@ -139,9 +128,8 @@ class TestDataPlaneChaosScenario:
         for _ in range(10):
             obi.inject(packet())
             clock.advance(0.05)
-        response = obi.handle_message(ReadRequest(
+        response = controller.send("chaos-obi", ReadRequest(
             block=OBI_PSEUDO_BLOCK, handle="poison_quarantine",
-            epoch=controller.generation,
         ))
         digests = response.value
         assert len(digests) == 3

@@ -31,10 +31,7 @@ def live_world():
 class TestLivenessLoop:
     def test_keepalive_interval_configured_by_controller(self, live_world):
         _scheduler, controller, obis = live_world
-        channel = controller.obis["obi-1"].channel
-        channel.request(SetExternalServices(
-            keepalive_interval=3.0, epoch=controller.generation
-        ))
+        controller.send("obi-1", SetExternalServices(keepalive_interval=3.0))
         assert obis[0].config.keepalive_interval == 3.0
 
     def test_periodic_keepalives_keep_obi_live(self, live_world):

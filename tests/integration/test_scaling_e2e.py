@@ -19,14 +19,7 @@ from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.obi.robustness import OverloadPolicy
 from repro.protocol.messages import GlobalStatsResponse, SetProcessingGraphRequest
 from repro.sim.traffic import TraceConfig, TrafficGenerator
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
+from tests.conftest import FakeClock
 
 
 class ObiProvisioner:
@@ -163,8 +156,8 @@ def _gated_obi(overload: OverloadPolicy):
         clock=clock,
     )
     connect_inproc(controller, obi)
-    obi.handle_message(SetProcessingGraphRequest(
-        graph=_degradable_graph().to_dict(), epoch=controller.generation
+    controller.send("gated-obi", SetProcessingGraphRequest(
+        graph=_degradable_graph().to_dict()
     ))
     return controller, obi, clock
 

@@ -31,8 +31,7 @@ from repro.protocol.messages import (
     StateHandoffResponse,
 )
 from repro.sim.traffic import TrafficGenerator
-from tests.conftest import build_conntrack_graph
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import FakeClock, build_conntrack_graph
 
 pytestmark = pytest.mark.chaos
 
@@ -49,10 +48,14 @@ def s2c(sport, flags, payload=b""):
                            flags=flags, payload=payload)
 
 
-def deploy_conntrack(obi, epoch=0):
-    response = obi.handle_message(SetProcessingGraphRequest(
-        graph=build_conntrack_graph().to_dict(), epoch=epoch
-    ))
+def deploy_conntrack(obi, controller=None):
+    """Push the conntrack graph through ``controller`` if the OBI has
+    one, else straight to the bare OBI."""
+    request = SetProcessingGraphRequest(graph=build_conntrack_graph().to_dict())
+    if controller is None:
+        response = obi.handle_message(request)
+    else:
+        response = controller.send(obi.config.obi_id, request)
     assert isinstance(response, SetProcessingGraphResponse) and response.ok
 
 
@@ -260,8 +263,8 @@ class TestControllerHandoffPath:
         target = make_obi(tmp_path, obi_id="target", clock=clock)
         connect_inproc(controller, source)
         connect_inproc(controller, target)
-        deploy_conntrack(source, epoch=controller.generation)
-        deploy_conntrack(target, epoch=controller.generation)
+        deploy_conntrack(source, controller=controller)
+        deploy_conntrack(target, controller=controller)
         establish(source, 4001)
 
         migrator = StateMigrator(controller)
@@ -293,8 +296,8 @@ class TestControllerHandoffPath:
         )
         connect_inproc(controller, source)
         connect_inproc(controller, target)
-        deploy_conntrack(source, epoch=controller.generation)
-        deploy_conntrack(target, epoch=controller.generation)
+        deploy_conntrack(source, controller=controller)
+        deploy_conntrack(target, controller=controller)
         establish(source, 5001)
         establish(source, 5002)
         # The target's one-entry table is already held by a protected
@@ -331,8 +334,8 @@ class TestControllerHandoffPath:
                        channels.append(FaultyChannel(channel, FaultPlan()))
                        or channels[-1])
         connect_inproc(controller, survivor)
-        deploy_conntrack(source, epoch=controller.generation)
-        deploy_conntrack(survivor, epoch=controller.generation)
+        deploy_conntrack(source, controller=controller)
+        deploy_conntrack(survivor, controller=controller)
         establish(source, 5001)
         establish(source, 5002)
         # The survivor's one-entry table already holds a protected

@@ -45,8 +45,8 @@ class TestCaptureTime:
         controller = OpenBoxController()
         obi = OpenBoxInstance(ObiConfig(obi_id="o"))
         connect_inproc(controller, obi)
-        response = obi.handle_message(SetProcessingGraphRequest(
-            graph=rewriting_graph().to_dict(), epoch=controller.generation
+        response = controller.send("o", SetProcessingGraphRequest(
+            graph=rewriting_graph().to_dict()
         ))
         assert response.ok
 

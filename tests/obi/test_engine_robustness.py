@@ -15,17 +15,7 @@ from repro.obi.engine import Element, Engine, EngineContext
 from repro.obi.robustness import CircuitBreaker, EngineRobustness, FaultPolicy
 from repro.obi.storage import SessionStorage
 from repro.obi.translation import ElementFactory, build_engine
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
+from tests.conftest import FakeClock
 
 
 class FaultyElement(Element):

@@ -11,33 +11,18 @@ observes a non-monotonic counter or a stale gauge mirror.
 
 import threading
 
-from repro.bootstrap import connect_inproc
-from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
-from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.messages import ErrorMessage, SetProcessingGraphRequest
-from tests.conftest import build_firewall_graph
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import build_firewall_graph, connected
 
 
 def pass_packet():
     return make_tcp_packet("44.0.0.1", "192.168.0.9", 9999, 12345)
 
 
-def connected(**config_kwargs):
-    clock = FakeClock()
-    controller = OpenBoxController(clock=clock)
-    obi = OpenBoxInstance(
-        ObiConfig(obi_id="o1", segment="corp", **config_kwargs), clock=clock
-    )
-    connect_inproc(controller, obi)
-    deploy(controller, obi)
-    return controller, obi
-
-
-def deploy(controller, obi):
-    response = obi.handle_message(SetProcessingGraphRequest(
-        graph=build_firewall_graph().to_dict(), epoch=controller.generation
+def deploy(controller):
+    response = controller.send("o1", SetProcessingGraphRequest(
+        graph=build_firewall_graph().to_dict()
     ))
     assert not isinstance(response, ErrorMessage)
 
@@ -64,7 +49,7 @@ class TestConcurrentExportExactness:
             try:
                 barrier.wait()
                 for _ in range(12):
-                    deploy(controller, obi)
+                    deploy(controller)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -88,7 +73,7 @@ class TestConcurrentExportExactness:
             obi.process_packet(pass_packet())
         # No snapshot/export between processing and the swap: the commit
         # itself must flush the outgoing engine's unexported delta.
-        deploy(controller, obi)
+        deploy(controller)
         snapshot = obi.observability_snapshot(include_traces=False)
         assert snapshot.metrics["counters"]["engine_packets_total"] == 7
 
@@ -101,7 +86,7 @@ class TestSwapFlushesGaugeMirrors:
         obi.observability_snapshot(include_traces=False)
         assert obi.metrics.gauge("fastpath_entries").value >= 1
 
-        deploy(controller, obi)  # invalidates the flow cache
+        deploy(controller)  # invalidates the flow cache
 
         # Without any snapshot in between, the registry mirrors already
         # reflect the post-invalidate cache — what a subscriber folding
@@ -129,7 +114,7 @@ class TestFoldMonotonicity:
         assert obi.publish_telemetry().ok
         sample()
 
-        deploy(controller, obi)  # swap mid-stream
+        deploy(controller)  # swap mid-stream
         assert obi.publish_telemetry() is not None
         sample()
 

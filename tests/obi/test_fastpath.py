@@ -30,28 +30,23 @@ from repro.protocol.messages import (
     WriteRequest,
     WriteResponse,
 )
-from tests.conftest import build_firewall_graph
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
+from tests.conftest import FakeClock, build_firewall_graph
 
 
 def fw_packet(src="44.0.0.1", sport=9999, dport=12345):
     return make_tcp_packet(src, "192.168.0.9", sport, dport)
 
 
-def deploy(obi, graph=None, epoch=0):
-    response = obi.handle_message(SetProcessingGraphRequest(
-        graph=(graph or build_firewall_graph()).to_dict(), epoch=epoch
-    ))
+def deploy(obi, graph=None, controller=None):
+    """Push ``graph`` through ``controller`` if the OBI has one, else
+    straight to the bare OBI."""
+    request = SetProcessingGraphRequest(
+        graph=(graph or build_firewall_graph()).to_dict()
+    )
+    if controller is None:
+        response = obi.handle_message(request)
+    else:
+        response = controller.send(obi.config.obi_id, request)
     assert isinstance(response, SetProcessingGraphResponse) and response.ok
 
 
@@ -217,7 +212,7 @@ class TestInstanceInvalidation:
         controller = OpenBoxController()
         obi = OpenBoxInstance(ObiConfig(obi_id="obi-1"))
         connect_inproc(controller, obi)
-        deploy(obi, epoch=controller.generation)
+        deploy(obi, controller=controller)
         for _ in range(4):
             obi.inject(fw_packet())
         snapshot = controller.telemetry_snapshot("obi-1")
@@ -330,8 +325,8 @@ class TestInjectBatch:
         batched = OpenBoxInstance(ObiConfig(obi_id="batched"))
         connect_inproc(controller, single)
         connect_inproc(controller, batched)
-        deploy(single, epoch=controller.generation)
-        deploy(batched, epoch=controller.generation)
+        deploy(single, controller=controller)
+        deploy(batched, controller=controller)
         alerting = make_tcp_packet("44.0.0.1", "192.168.0.9", 5, 22).data
         for _ in range(3):
             single.inject(Packet(data=alerting))

@@ -33,8 +33,7 @@ from repro.protocol.messages import (
     TelemetrySubscribe,
     WriteRequest,
 )
-from tests.conftest import build_firewall_graph, build_ips_graph
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import FakeClock, build_firewall_graph, build_ips_graph
 
 GENERATION = 3
 

@@ -9,11 +9,8 @@ the same machinery.
 
 import pytest
 
-from repro.bootstrap import connect_inproc, reconnect_inproc
-from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.headless import HeadlessBuffer
-from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.observability.metrics import default_registry
 from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK
 from repro.protocol.errors import ErrorCode
@@ -24,9 +21,7 @@ from repro.protocol.messages import (
     SetProcessingGraphRequest,
 )
 from repro.transport.base import ChannelClosed
-from tests.conftest import build_firewall_graph
-
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import FakeClock, build_firewall_graph, connected
 
 
 def alert_packet(sport=1234):
@@ -40,19 +35,6 @@ def pass_packet():
 def alerts_total():
     """The monotonic count: ``controller.alerts`` is a bounded ring."""
     return default_registry().counter("controller_alerts_received_total").value
-
-
-def connected(clock, **config_kwargs):
-    controller = OpenBoxController()
-    obi = OpenBoxInstance(
-        ObiConfig(obi_id="o1", segment="corp", **config_kwargs), clock=clock
-    )
-    connect_inproc(controller, obi)
-    response = obi.handle_message(SetProcessingGraphRequest(
-        graph=build_firewall_graph().to_dict(), epoch=controller.generation
-    ))
-    assert not isinstance(response, ErrorMessage)
-    return controller, obi
 
 
 class TestHeadlessBuffer:
@@ -106,8 +88,8 @@ class TestHeadlessTransition:
         clock = FakeClock()
         controller, obi = connected(clock, headless_after=30.0)
         clock.advance(29.0)
-        obi.handle_message(ReadRequest(
-            block=OBI_PSEUDO_BLOCK, handle="degraded", epoch=controller.generation
+        controller.send("o1", ReadRequest(
+            block=OBI_PSEUDO_BLOCK, handle="degraded"
         ))
         clock.advance(29.0)
         assert not obi.is_headless()
@@ -236,8 +218,8 @@ class TestBufferingAndReplay:
         obi.process_packet(alert_packet())
 
         def read(handle):
-            response = obi.handle_message(ReadRequest(
-                block=OBI_PSEUDO_BLOCK, handle=handle, epoch=controller.generation
+            response = controller.send("o1", ReadRequest(
+                block=OBI_PSEUDO_BLOCK, handle=handle
             ))
             assert not isinstance(response, ErrorMessage), handle
             return response.value
@@ -316,10 +298,9 @@ class TestGraphDigest:
         clock = FakeClock()
         controller, obi = connected(clock)
         version = obi.graph_version
-        response = obi.handle_message(SetProcessingGraphRequest(
+        response = controller.send("o1", SetProcessingGraphRequest(
             graph=build_firewall_graph().to_dict(),
             graph_digest="sha256:" + "0" * 64,
-            epoch=controller.generation,
         ))
         assert isinstance(response, ErrorMessage)
         assert response.code == ErrorCode.INVALID_GRAPH
@@ -334,12 +315,7 @@ class TestScalingFreeze:
         # half-connected instance feeds scaling or failover decisions
         # until it reconnects and replays.
         clock = FakeClock()
-        controller = OpenBoxController(clock=clock)
-        obi = OpenBoxInstance(
-            ObiConfig(obi_id="o1", segment="corp", headless_after=30.0),
-            clock=clock,
-        )
-        connect_inproc(controller, obi)
+        controller, obi = connected(clock, headless_after=30.0)
         assert controller.stats.is_live("o1", now=clock())
         clock.advance(120.0)
         assert obi.is_headless()

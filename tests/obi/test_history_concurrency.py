@@ -105,7 +105,7 @@ class TestHistoryRendering:
 
         from repro.obi.robustness import OverloadPolicy
         from repro.protocol.codec import encode_message
-        from tests.obi.test_instance_robustness import FakeClock
+        from tests.conftest import FakeClock
 
         rng = random.Random(20160822)
         clock = FakeClock()

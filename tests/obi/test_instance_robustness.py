@@ -9,10 +9,6 @@ through which the controller reads all of it.
 import pathlib
 import re
 
-import pytest
-
-from repro.bootstrap import connect_inproc
-from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.engine import Element
 from repro.obi.instance import OBI_HANDLES, ObiConfig, OpenBoxInstance
@@ -26,18 +22,7 @@ from repro.protocol.messages import (
     SetProcessingGraphRequest,
 )
 
-from tests.conftest import build_firewall_graph
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
+from tests.conftest import FakeClock, build_firewall_graph, connected
 
 
 class FaultyElement(Element):
@@ -54,17 +39,6 @@ def alert_packet():
 
 def pass_packet():
     return make_tcp_packet("44.0.0.1", "192.168.0.9", 9999, 12345)
-
-
-def connected(config: ObiConfig, clock=None):
-    controller = OpenBoxController()
-    obi = OpenBoxInstance(config, clock=clock)
-    connect_inproc(controller, obi)
-    response = obi.handle_message(SetProcessingGraphRequest(
-        graph=build_firewall_graph().to_dict(), epoch=controller.generation
-    ))
-    assert not isinstance(response, ErrorMessage)
-    return controller, obi
 
 
 class TestObiReadHandles:
@@ -102,7 +76,7 @@ class TestObiReadHandles:
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", fault_policy=FaultPolicy(
             quarantine_threshold=2, quarantine_cooldown=60.0))
-        controller, obi = connected(config, clock=clock)
+        controller, obi = connected(clock, config)
         obi.factory.register_custom("HeaderPayloadRewriter", FaultyElement)
         from repro.core.blocks import Block
         from repro.core.graph import ProcessingGraph
@@ -113,16 +87,16 @@ class TestObiReadHandles:
         graph.add_blocks([read, boom, out])
         graph.connect(read, boom)
         graph.connect(boom, out)
-        obi.handle_message(SetProcessingGraphRequest(
-            graph=graph.to_dict(), epoch=controller.generation
+        controller.send("o1", SetProcessingGraphRequest(
+            graph=graph.to_dict()
         ))
         for _ in range(3):
             obi.process_packet(pass_packet())
             clock.advance(1.0)
 
         def read_handle(handle):
-            return obi.handle_message(ReadRequest(
-                block=OBI_PSEUDO_BLOCK, handle=handle, epoch=controller.generation
+            return controller.send("o1", ReadRequest(
+                block=OBI_PSEUDO_BLOCK, handle=handle
             )).value
 
         assert read_handle("errors_total") == 2  # third packet hit quarantine
@@ -137,7 +111,7 @@ class TestAdmissionGate:
             admission_rate=1.0, admission_burst=8.0,
             overload_watermark=0.5, shed_seed=seed, pressure_shed_rate=0.5,
         ))
-        return connected(config, clock=clock)
+        return connected(clock, config)
 
     def shed_pattern(self, seed):
         clock = FakeClock()
@@ -180,7 +154,7 @@ class TestAdmissionGate:
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1.0, admission_burst=4.0, overload_watermark=1.1,
         ))
-        controller, obi = connected(config, clock=clock)
+        controller, obi = connected(clock, config)
         from repro.core.blocks import Block
         from repro.core.graph import ProcessingGraph
         graph = ProcessingGraph("g")
@@ -191,8 +165,8 @@ class TestAdmissionGate:
         graph.add_blocks([read, deep, out])
         graph.connect(read, deep)
         graph.connect(deep, out)
-        obi.handle_message(SetProcessingGraphRequest(
-            graph=graph.to_dict(), epoch=controller.generation
+        controller.send("o1", SetProcessingGraphRequest(
+            graph=graph.to_dict()
         ))
         # Watermark 1.1 puts the gate in the pressure band immediately.
         outcome = obi.inject(pass_packet())
@@ -205,7 +179,7 @@ class TestAlertSuppression:
     def test_rate_limited_alerts_are_suppressed_and_summarized(self):
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", alert_rate_limit=1.0, alert_burst=2.0)
-        controller, obi = connected(config, clock=clock)
+        controller, obi = connected(clock, config)
         for _ in range(10):
             obi.process_packet(alert_packet())
         # Burst of 2: two alerts through, eight suppressed.
@@ -223,7 +197,7 @@ class TestAlertSuppression:
         assert obi.alerts_sent == sent
 
     def test_unlimited_by_default(self):
-        controller, obi = connected(ObiConfig(obi_id="o1"))
+        controller, obi = connected()
         for _ in range(5):
             obi.process_packet(alert_packet())
         assert obi.alerts_sent == 5
@@ -237,7 +211,7 @@ class TestAlertSuppression:
             fault_policy=FaultPolicy(quarantine_threshold=3,
                                      quarantine_cooldown=60.0),
         )
-        controller, obi = connected(config, clock=clock)
+        controller, obi = connected(clock, config)
         obi.factory.register_custom("HeaderPayloadRewriter", FaultyElement)
         from repro.core.blocks import Block
         from repro.core.graph import ProcessingGraph
@@ -248,8 +222,8 @@ class TestAlertSuppression:
         graph.add_blocks([read, boom, out])
         graph.connect(read, boom)
         graph.connect(boom, out)
-        obi.handle_message(SetProcessingGraphRequest(
-            graph=graph.to_dict(), epoch=controller.generation
+        controller.send("o1", SetProcessingGraphRequest(
+            graph=graph.to_dict()
         ))
         for _ in range(5):
             obi.process_packet(pass_packet())
@@ -267,7 +241,7 @@ class TestHealthReporting:
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1.0, admission_burst=2.0))
-        controller, obi = connected(config, clock=clock)
+        controller, obi = connected(clock, config)
         controller.subscribe_telemetry("o1")
         for _ in range(10):
             obi.inject(pass_packet())
@@ -281,7 +255,7 @@ class TestHealthReporting:
         clock = FakeClock()
         config = ObiConfig(obi_id="o1", overload=OverloadPolicy(
             admission_rate=1000.0, admission_burst=64.0))
-        controller, obi = connected(config, clock=clock)
+        controller, obi = connected(clock, config)
         controller.subscribe_telemetry("o1")
         for _ in range(10):
             obi.inject(pass_packet())
@@ -294,7 +268,7 @@ class TestHealthReporting:
         config2 = ObiConfig(obi_id="o2", headless_after=0.0,
                             overload=OverloadPolicy(
                                 admission_rate=1.0, admission_burst=2.0))
-        controller2, obi2 = connected(config2, clock=clock)
+        controller2, obi2 = connected(clock, config2)
         controller2.subscribe_telemetry("o2")
         for _ in range(10):
             obi2.inject(pass_packet())
@@ -307,14 +281,7 @@ class TestHealthReporting:
 
     def test_health_report_is_liveness_evidence(self):
         clock = FakeClock()
-        controller = OpenBoxController(clock=clock)
-        obi = OpenBoxInstance(
-            ObiConfig(obi_id="o1", headless_after=0.0), clock=clock
-        )
-        connect_inproc(controller, obi)
-        obi.handle_message(SetProcessingGraphRequest(
-            graph=build_firewall_graph().to_dict(), epoch=controller.generation
-        ))
+        controller, obi = connected(clock, headless_after=0.0)
         controller.subscribe_telemetry("o1")
         clock.advance(controller.stats.liveness_timeout + 1.0)
         assert not controller.stats.is_live("o1")
@@ -330,7 +297,7 @@ class TestEntryVerify:
         must be rejected in the verify phase, keeping the old graph."""
         import repro.obi.instance as instance_mod
 
-        controller, obi = connected(ObiConfig(obi_id="o1"))
+        controller, obi = connected()
         version_before = obi.graph_version
         real_build = instance_mod.build_engine
 
@@ -341,9 +308,8 @@ class TestEntryVerify:
             return engine
 
         monkeypatch.setattr(instance_mod, "build_engine", sabotaged_build)
-        response = obi.handle_message(SetProcessingGraphRequest(
-            graph=build_firewall_graph("fw2").to_dict(),
-            epoch=controller.generation,
+        response = controller.send("o1", SetProcessingGraphRequest(
+            graph=build_firewall_graph("fw2").to_dict()
         ))
         assert isinstance(response, ErrorMessage)
         assert response.code == ErrorCode.INVALID_GRAPH

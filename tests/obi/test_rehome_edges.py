@@ -16,8 +16,7 @@ from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
-from tests.conftest import build_firewall_graph
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import FakeClock, build_firewall_graph
 
 HEADLESS_AFTER = 30.0
 

@@ -27,10 +27,8 @@ def deployed_obi(obi_id="o1"):
     controller = OpenBoxController()
     obi = OpenBoxInstance(ObiConfig(obi_id=obi_id, segment="corp"))
     pair = connect_inproc(controller, obi)
-    request = SetProcessingGraphRequest(
-        graph=build_firewall_graph().to_dict(), epoch=controller.generation
-    )
-    response = obi.handle_message(request)
+    request = SetProcessingGraphRequest(graph=build_firewall_graph().to_dict())
+    response = controller.send(obi_id, request)
     assert isinstance(response, SetProcessingGraphResponse) and response.ok
     return controller, obi, pair, request
 

@@ -10,8 +10,6 @@ and generation fencing on both sides of the stream.
 
 import json
 
-import pytest
-
 from repro.bootstrap import connect_inproc, reconnect_inproc, rehome_inproc
 from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
@@ -23,8 +21,7 @@ from repro.protocol.messages import (
     SetProcessingGraphRequest,
     TelemetryStream,
 )
-from tests.conftest import build_firewall_graph
-from tests.obi.test_instance_robustness import FakeClock
+from tests.conftest import FakeClock, build_firewall_graph, connected
 
 
 def alert_packet(src="44.0.0.1"):
@@ -33,20 +30,6 @@ def alert_packet(src="44.0.0.1"):
 
 def pass_packet():
     return make_tcp_packet("44.0.0.1", "192.168.0.9", 9999, 12345)
-
-
-def connected(**config_kwargs):
-    clock = FakeClock()
-    controller = OpenBoxController(clock=clock)
-    obi = OpenBoxInstance(
-        ObiConfig(obi_id="o1", segment="corp", **config_kwargs), clock=clock
-    )
-    pair = connect_inproc(controller, obi)
-    response = obi.handle_message(SetProcessingGraphRequest(
-        graph=build_firewall_graph().to_dict(), epoch=controller.generation
-    ))
-    assert not isinstance(response, ErrorMessage)
-    return controller, obi, pair, clock
 
 
 def metrics_json(metrics):
@@ -68,14 +51,15 @@ def assert_push_equals_pull(controller, obi, obi_id="o1"):
 
 class TestSubscribeAndFold:
     def test_subscribe_first_batch_is_a_baseline(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         stream = controller.subscribe_telemetry("o1")
         assert isinstance(stream, TelemetryStream)
         assert stream.records[0]["kind"] == "baseline"
         assert_push_equals_pull(controller, obi)
 
     def test_pushed_stream_alone_is_liveness_evidence(self):
-        controller, obi, _, clock = connected()
+        clock = FakeClock()
+        controller, obi = connected(clock)
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         timeout = controller.stats.liveness_timeout
@@ -90,7 +74,7 @@ class TestSubscribeAndFold:
         assert not controller.stats.is_live("o1")
 
     def test_incremental_deltas_match_full_poll(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         for _ in range(3):
@@ -101,7 +85,7 @@ class TestSubscribeAndFold:
         assert controller.telemetry.state("o1")["lost_total"] == 0
 
     def test_idle_publisher_goes_quiet(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         obi.process_packet(pass_packet())
@@ -114,7 +98,7 @@ class TestSubscribeAndFold:
         assert obi.telemetry.streams_sent == sent
 
     def test_one_shot_snapshot_advances_cursor_across_calls(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         first = controller.telemetry_snapshot("o1")
         assert first is not None
         obi.process_packet(pass_packet())
@@ -131,7 +115,13 @@ class TestSubscribeAndFold:
 
 class TestReconnectReplay:
     def test_at_least_once_across_outage(self):
-        controller, obi, pair, _ = connected()
+        clock = FakeClock()
+        controller = OpenBoxController(clock=clock)
+        obi = OpenBoxInstance(ObiConfig(obi_id="o1", segment="corp"), clock=clock)
+        pair = connect_inproc(controller, obi)
+        controller.send("o1", SetProcessingGraphRequest(
+            graph=build_firewall_graph().to_dict()
+        ))
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         obi.process_packet(pass_packet())
@@ -154,7 +144,7 @@ class TestReconnectReplay:
         assert_push_equals_pull(controller, obi)
 
     def test_replay_from_zero_dedupes_by_cursor(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         obi.process_packet(alert_packet())
@@ -172,7 +162,8 @@ class TestReconnectReplay:
 
 class TestHeadlessRehome:
     def test_headless_history_replays_to_adopted_controller(self):
-        controller, obi, _, clock = connected(headless_after=30.0)
+        clock = FakeClock()
+        controller, obi = connected(clock, headless_after=30.0)
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         obi.process_packet(pass_packet())
@@ -203,7 +194,7 @@ class TestHeadlessRehome:
 
 class TestBackpressure:
     def test_window_caps_each_batch_until_drained(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         controller.subscribe_telemetry("o1", window=1)
         controller._ack_telemetry("o1")
         # Flush the residue of the handshake round trips so the counted
@@ -228,7 +219,7 @@ class TestBackpressure:
         assert obi.telemetry.ring.pending("controller") == 0
 
     def test_ack_can_widen_the_window(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         controller.subscribe_telemetry("o1", window=1)
         controller._ack_telemetry("o1")
         while obi.publish_telemetry() is not None:
@@ -249,7 +240,7 @@ class TestBackpressure:
 
 class TestNackRewind:
     def test_rewind_to_zero_rebuilds_state_from_replay(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
         obi.process_packet(alert_packet())
@@ -277,7 +268,8 @@ class TestNackRewind:
 
 class TestEpochFencing:
     def test_deposed_epoch_stream_is_fenced_and_torn_down(self):
-        controller, obi, _, clock = connected()
+        clock = FakeClock()
+        controller, obi = connected(clock)
         controller.subscribe_telemetry("o1")
         controller._ack_telemetry("o1")
 
@@ -301,7 +293,7 @@ class TestEpochFencing:
         assert_push_equals_pull(successor, obi)
 
     def test_newer_epoch_marks_this_controller_superseded(self):
-        controller, _, _, _ = connected()
+        controller, _ = connected()
         ack = controller.handle_message(TelemetryStream(
             obi_id="o1", subscriber="controller", records=[],
             through_seq=0, epoch=controller.generation + 1,
@@ -312,7 +304,7 @@ class TestEpochFencing:
 
 class TestNorthboundWatch:
     def test_watch_sees_alert_events_from_pushed_streams(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         watch = controller.watch(topics=["alerts"], segments=["corp"])
         elsewhere = controller.watch(topics=["alerts"], segments=["dmz"])
         controller.subscribe_telemetry("o1")
@@ -328,7 +320,7 @@ class TestNorthboundWatch:
         elsewhere.close()
 
     def test_callback_subscription_replaces_polling(self):
-        controller, obi, _, _ = connected()
+        controller, obi = connected()
         seen = []
         unsubscribe = controller.subscribe(seen.append, apps=["fw"])
         controller.subscribe_telemetry("o1")

@@ -16,7 +16,7 @@ Because each mutant costs a full suite run, the kill check is gated by
 * ``OPENBOX_MUTATION=smoke``: three representative mutants — the CI
   chaos job.
 * ``OPENBOX_MUTATION=full``: all mutants — the nightly workflow and the
-  local audit (results land in ``benchmarks/results/mutation_audit.txt``).
+  local audit (each run rewrites ``benchmarks/results/mutation_audit.txt``).
 """
 
 from __future__ import annotations
@@ -219,14 +219,35 @@ def _full_run_failing_files(shadow_src: pathlib.Path) -> set[str]:
     return failing
 
 
+AUDIT_HEADER = ("mutation audit: the full suite kills every seeded "
+                "single-module breakage")
+_audit_started = False
+
+
 def _audit(line: str) -> None:
+    """Record one mutant's verdict. The first call of a session starts
+    the file afresh, so the audit holds exactly one run."""
+    global _audit_started
     RESULTS_PATH.parent.mkdir(exist_ok=True)
-    mode = "a" if RESULTS_PATH.exists() else "w"
-    with RESULTS_PATH.open(mode, encoding="utf-8") as fh:
-        if mode == "w":
-            fh.write("mutation audit: the full suite kills every seeded "
-                     "single-module breakage\n")
+    with RESULTS_PATH.open("a" if _audit_started else "w",
+                           encoding="utf-8") as fh:
+        if not _audit_started:
+            fh.write(AUDIT_HEADER + "\n")
         fh.write(line + "\n")
+    _audit_started = True
+
+
+def test_audit_holds_one_session(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    path = tmp_path / "mutation_audit.txt"
+    path.write_text(AUDIT_HEADER + "\nstale: from an earlier run\n")
+    monkeypatch.setattr(module, "RESULTS_PATH", path)
+    monkeypatch.setattr(module, "_audit_started", False)
+    _audit("a: 1 failing file(s): x")
+    _audit("b: 1 failing file(s): y")
+    assert path.read_text().splitlines() == [
+        AUDIT_HEADER, "a: 1 failing file(s): x", "b: 1 failing file(s): y",
+    ]
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.key)
