@@ -19,14 +19,15 @@ once. Buffered alerts replay with a loss summary.
 Run:  python3 examples/controller_restart_demo.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
-from repro.bootstrap import reconnect_inproc
+from repro.bootstrap import connect_inproc, reconnect_inproc
 from repro.controller.apps import AppStatement, FunctionApplication
 from repro.controller.journal import StateJournal
+from repro.controller.obc import OpenBoxController
 from repro.controller.reconcile import AntiEntropyLoop
 from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.errors import ProtocolError
 
 JOURNAL = "/tmp/openbox-restart-demo.journal"

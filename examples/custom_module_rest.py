@@ -11,11 +11,12 @@ processing graphs immediately.
 Run:  python3 examples/custom_module_rest.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance
 from repro.bootstrap import connect_obi_rest, serve_controller_rest
+from repro.controller.obc import OpenBoxController
 from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_http_get
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.messages import AddCustomModuleRequest, SetProcessingGraphRequest
 
 #: The custom module: a block that tags packets with their HTTP host.

@@ -10,11 +10,13 @@ troubleshooting.
 Run:  python3 examples/debugging_walkthrough.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.firewall import FirewallApp, parse_firewall_rules
 from repro.apps.ips import IpsApp, parse_snort_rules
+from repro.bootstrap import connect_inproc
+from repro.controller.obc import OpenBoxController
 from repro.controller.verification import verify_application
 from repro.net.builder import make_tcp_packet
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.messages import PacketHistoryRequest
 
 SLOPPY_RULES = """

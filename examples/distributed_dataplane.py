@@ -9,12 +9,14 @@ balanced by flow hash — decapsulate and run the rest of the graph.
 Run:  python3 examples/distributed_dataplane.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.firewall import FirewallApp, parse_firewall_rules
 from repro.apps.ips import IpsApp, parse_snort_rules
+from repro.bootstrap import connect_inproc
+from repro.controller.obc import OpenBoxController
 from repro.controller.reconcile import AntiEntropyLoop
 from repro.controller.split import deploy_split
 from repro.net.builder import make_tcp_packet
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.sim.network import SimNetwork
 
 FIREWALL_RULES = """

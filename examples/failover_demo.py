@@ -19,12 +19,14 @@ though the replica that learned the verdict is gone.
 Run:  python3 examples/failover_demo.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.ips import IpsApp, parse_snort_rules
+from repro.bootstrap import connect_inproc
+from repro.controller.obc import OpenBoxController
 from repro.controller.orchestrator import OrchestrationLoop
 from repro.controller.scaling import ScalingManager, ScalingPolicy
 from repro.controller.steering import ServiceChain, SteeringHop, TrafficSteering
 from repro.net.builder import make_tcp_packet
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.sim.events import EventScheduler
 from repro.transport.faults import FaultPlan, FaultyChannel
 from repro.transport.retry import ResilientChannel, RetryPolicy

@@ -9,12 +9,14 @@ new replica, and updates traffic steering.
 Run:  python3 examples/multi_tenant_scaling.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.firewall import FirewallApp, parse_firewall_rules
 from repro.apps.ips import IpsApp, parse_snort_rules
+from repro.bootstrap import connect_inproc
+from repro.controller.obc import OpenBoxController
 from repro.controller.scaling import ScalingManager, ScalingPolicy
 from repro.controller.steering import ServiceChain, SteeringHop, TrafficSteering
 from repro.net.builder import make_tcp_packet
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.messages import GlobalStatsResponse
 from repro.sim.rulesets import SNORT_VARIABLES, generate_snort_web_rules
 

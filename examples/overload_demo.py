@@ -22,12 +22,14 @@ replica. Locally graceful, globally elastic (paper §4.2, Fig. 9-10).
 Run:  python3 examples/overload_demo.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
+from repro.bootstrap import connect_inproc
 from repro.controller.apps import AppStatement, OpenBoxApplication
+from repro.controller.obc import OpenBoxController
 from repro.controller.scaling import ScalingManager, ScalingPolicy
 from repro.controller.steering import ServiceChain, SteeringHop, TrafficSteering
 from repro.core.blocks import Block
 from repro.core.graph import ProcessingGraph
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.obi.robustness import OverloadPolicy
 from repro.protocol.blocks_spec import OBI_PSEUDO_BLOCK
 from repro.protocol.messages import ReadRequest

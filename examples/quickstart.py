@@ -9,9 +9,11 @@ plane — the full northbound/southbound loop of the paper in miniature.
 Run:  python3 examples/quickstart.py
 """
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
 from repro.apps.firewall import FirewallApp, parse_firewall_rules
+from repro.bootstrap import connect_inproc
+from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 
 RULES = """
 # action proto  src           sport  dst   dport

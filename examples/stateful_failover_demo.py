@@ -24,11 +24,13 @@ Run:  python3 examples/stateful_failover_demo.py
 import tempfile
 from pathlib import Path
 
-from repro import ObiConfig, OpenBoxController, OpenBoxInstance, connect_inproc
+from repro.bootstrap import connect_inproc
 from repro.controller.migration import StateMigrator
+from repro.controller.obc import OpenBoxController
 from repro.net.builder import make_tcp_packet
 from repro.net.tcp import TcpFlags
 from repro.obi.flowstate import FlowStatePolicy
+from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.protocol.messages import SetProcessingGraphRequest
 from repro.sim.traffic import TrafficGenerator
 

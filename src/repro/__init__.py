@@ -5,8 +5,10 @@ for Developing, Deploying, and Managing Network Functions* (SIGCOMM 2016).
 
 Quickstart::
 
-    from repro import OpenBoxController, OpenBoxInstance, ObiConfig, connect_inproc
-    from repro.apps import FirewallApp, parse_firewall_rules
+    from repro.apps.firewall import FirewallApp, parse_firewall_rules
+    from repro.bootstrap import connect_inproc
+    from repro.controller.obc import OpenBoxController
+    from repro.obi.instance import ObiConfig, OpenBoxInstance
 
     controller = OpenBoxController()
     obi = OpenBoxInstance(ObiConfig(obi_id="obi-1", segment="corp"))
@@ -17,43 +19,3 @@ Quickstart::
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured results of every table and figure.
 """
-
-from repro.bootstrap import connect_inproc, connect_obi_rest, serve_controller_rest
-from repro.controller import (
-    AppStatement,
-    OpenBoxApplication,
-    OpenBoxController,
-    split_at_classifier,
-)
-from repro.core import (
-    Block,
-    BlockClass,
-    MergePolicy,
-    MergeResult,
-    ProcessingGraph,
-    merge_graphs,
-    naive_merge,
-)
-from repro.obi import ObiConfig, OpenBoxInstance
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "AppStatement",
-    "Block",
-    "BlockClass",
-    "MergePolicy",
-    "MergeResult",
-    "ObiConfig",
-    "OpenBoxApplication",
-    "OpenBoxController",
-    "OpenBoxInstance",
-    "ProcessingGraph",
-    "connect_inproc",
-    "connect_obi_rest",
-    "merge_graphs",
-    "naive_merge",
-    "serve_controller_rest",
-    "split_at_classifier",
-    "__version__",
-]

@@ -9,21 +9,3 @@ more." These are the NFs the paper's evaluation runs:
 * :class:`~repro.apps.webcache.WebCacheApp` — HTTP web cache;
 * :class:`~repro.apps.loadbalancer.LoadBalancerApp` — L3 load balancer.
 """
-
-from repro.apps.firewall import FirewallApp, FirewallRule, parse_firewall_rules
-from repro.apps.ips import IpsApp, SnortRule, parse_snort_rules
-from repro.apps.loadbalancer import LoadBalancerApp
-from repro.apps.ratelimiter import RateLimiterApp
-from repro.apps.webcache import WebCacheApp
-
-__all__ = [
-    "FirewallApp",
-    "FirewallRule",
-    "IpsApp",
-    "LoadBalancerApp",
-    "RateLimiterApp",
-    "SnortRule",
-    "WebCacheApp",
-    "parse_firewall_rules",
-    "parse_snort_rules",
-]

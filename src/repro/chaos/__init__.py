@@ -1,4 +1,4 @@
-"""Deterministic, seeded chaos orchestration (ISSUE 10).
+"""Deterministic, seeded chaos orchestration.
 
 The repo's robustness story — retry, headless mode, WAL recovery, HA
 leases — was built one hand-written failure sequence at a time. This
@@ -23,38 +23,3 @@ package turns those point fixes into a continuously verified property:
 
 See ``docs/CHAOS.md`` for the fault vocabulary and scenario format.
 """
-
-from repro.chaos.env import ChaosEnv
-from repro.chaos.invariants import (
-    DEFAULT_INVARIANTS,
-    Invariant,
-    InvariantViolation,
-)
-from repro.chaos.points import ChaosRegistry, FaultPoint
-from repro.chaos.scenario import Scenario, ScenarioResult, ScenarioRunner, step
-from repro.chaos.search import (
-    acceptance_scenario,
-    random_scenario,
-    run_soak,
-    shrink,
-)
-from repro.chaos.storage import FaultyStorage, StoragePlan
-
-__all__ = [
-    "ChaosEnv",
-    "ChaosRegistry",
-    "DEFAULT_INVARIANTS",
-    "FaultPoint",
-    "FaultyStorage",
-    "Invariant",
-    "InvariantViolation",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "StoragePlan",
-    "acceptance_scenario",
-    "random_scenario",
-    "run_soak",
-    "shrink",
-    "step",
-]

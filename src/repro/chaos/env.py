@@ -48,7 +48,6 @@ from repro.core.graph import ProcessingGraph
 from repro.net.builder import make_tcp_packet
 from repro.obi.instance import ObiConfig, OpenBoxInstance
 from repro.sim.network import SimNetwork
-from repro.transport.base import ChannelClosed, ChannelTimeout
 from repro.transport.faults import FaultPlan, FaultyChannel
 from repro.transport.inproc import InProcPair
 
@@ -366,13 +365,11 @@ class ChaosEnv:
         self.leader.deploy(self.obi_ids[0])
         self.hub.sync()
 
-    def deploy(self, obi_id: str) -> bool:
-        """Deploy current intent to one OBI; False on (expected) refusal."""
-        try:
-            self.active.deploy(obi_id)
-            return True
-        except (ChannelClosed, ChannelTimeout):
-            return False
+    def deploy(self, obi_id: str) -> None:
+        """Deploy current intent to one OBI. A refusal (fenced, degraded,
+        unreachable) raises ``ProtocolError``; the scenario runner
+        records it as the step's outcome."""
+        self.active.deploy(obi_id)
 
     def kill_leader(self) -> None:
         """SIGKILL: no close(), no final flush; every channel to the

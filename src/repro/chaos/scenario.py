@@ -222,7 +222,8 @@ class ScenarioRunner:
                 "journal_resumed": report.journal_resumed,
             }
         if op == "deploy":
-            return env.deploy(str(args["obi"]))
+            env.deploy(str(args["obi"]))
+            return True
         if op == "register_app":
             env.register_app(str(args["name"]))
             return True

@@ -19,53 +19,3 @@ The OBC (paper §3.3) is the logically-centralized control plane:
   epoch fencing (:mod:`.lease`) and journal streaming to hot standbys
   with lease-epoch-fenced takeover (:mod:`.replication`).
 """
-
-from repro.controller.aggregator import GraphAggregator
-from repro.controller.apps import AppStatement, OpenBoxApplication
-from repro.controller.journal import JournalCursor, JournalState, StateJournal
-from repro.controller.lease import (
-    InProcLeaseStore,
-    Lease,
-    LeaseManager,
-    LeaseStore,
-    LeaseUnavailable,
-)
-from repro.controller.migration import StateMigrator
-from repro.controller.obc import ObiHandle, OpenBoxController
-from repro.controller.optimizer import optimize_graph
-from repro.controller.orchestrator import OrchestrationLoop
-from repro.controller.reconcile import AntiEntropyLoop
-from repro.controller.replication import ReplicationHub, StandbyController
-from repro.controller.segments import SegmentHierarchy
-from repro.controller.split import deploy_split, split_at_classifier
-from repro.controller.sweep import FleetSweep, SweepReport
-from repro.controller.verification import verify_application, verify_graph
-
-__all__ = [
-    "AntiEntropyLoop",
-    "AppStatement",
-    "FleetSweep",
-    "GraphAggregator",
-    "InProcLeaseStore",
-    "JournalCursor",
-    "JournalState",
-    "Lease",
-    "LeaseManager",
-    "LeaseStore",
-    "LeaseUnavailable",
-    "ObiHandle",
-    "OpenBoxApplication",
-    "OpenBoxController",
-    "OrchestrationLoop",
-    "ReplicationHub",
-    "SegmentHierarchy",
-    "StandbyController",
-    "StateJournal",
-    "StateMigrator",
-    "SweepReport",
-    "deploy_split",
-    "optimize_graph",
-    "split_at_classifier",
-    "verify_application",
-    "verify_graph",
-]

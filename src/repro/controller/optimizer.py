@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.blocks import Block
+from repro.core.concat import INPUT_TERMINALS
 from repro.core.graph import ProcessingGraph
 
 
@@ -132,18 +133,9 @@ def _remove_trivial_classifiers(
 def _prune_dead(graph: ProcessingGraph, report: OptimizationReport) -> None:
     """Remove the blocks no longer reachable from the entry."""
     roots = graph.roots()
-    entry_roots = [
-        name for name in roots
-        if graph.blocks[name].type in ("FromDevice", "FromDump")
-    ] or roots[:1]
-    reachable: set[str] = set()
-    stack = list(entry_roots)
-    while stack:
-        current = stack.pop()
-        if current in reachable:
-            continue
-        reachable.add(current)
-        stack.extend(graph.successors(current))
+    reachable = graph.reachable([
+        name for name in roots if graph.blocks[name].type in INPUT_TERMINALS
+    ] or roots[:1])
     for name in [name for name in graph.blocks if name not in reachable]:
         graph.remove_block(name)
         report.dead_blocks_removed += 1

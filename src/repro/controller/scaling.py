@@ -104,12 +104,6 @@ class ScalingManager:
         if members is not None and obi_id in members:
             members.remove(obi_id)
 
-    def group_of(self, obi_id: str) -> str | None:
-        for group, members in self._groups.items():
-            if obi_id in members:
-                return group
-        return None
-
     def _group_loads(self, group: str) -> list[tuple[str, float]]:
         loads: list[tuple[str, float]] = []
         for obi_id in self._groups.get(group, ()):

@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.blocks import BlockClass
-from repro.core.concat import ABSORBING_TERMINALS, OUTPUT_TERMINALS
+from repro.core.concat import (
+    ABSORBING_TERMINALS,
+    INPUT_TERMINALS,
+    OUTPUT_TERMINALS,
+)
 from repro.core.graph import GraphValidationError, ProcessingGraph
 
 
@@ -70,8 +74,7 @@ def verify_graph(graph: ProcessingGraph) -> VerificationReport:
         return report
     roots = graph.roots()
     entries = [
-        name for name in roots
-        if graph.blocks[name].type in ("FromDevice", "FromDump")
+        name for name in roots if graph.blocks[name].type in INPUT_TERMINALS
     ]
     if not entries:
         report._add("error", "structure", graph.name,
@@ -83,14 +86,7 @@ def verify_graph(graph: ProcessingGraph) -> VerificationReport:
         return report
 
     # -------- reachability --------
-    reachable = set(entries)
-    stack = list(entries)
-    while stack:
-        current = stack.pop()
-        for successor in graph.successors(current):
-            if successor not in reachable:
-                reachable.add(successor)
-                stack.append(successor)
+    reachable = graph.reachable(entries)
     for name in graph.blocks:
         if name not in reachable:
             report._add("warning", "unreachable", name,

@@ -10,20 +10,3 @@ This subpackage implements the paper's primary contribution:
   tree, tree concatenation, path compression (Algorithm 1, including
   classifier cross-product merging), and duplicate-subgraph elimination.
 """
-
-from repro.core.blocks import Block, BlockClass, BlockTypeSpec, block_registry
-from repro.core.graph import Connector, ProcessingGraph
-from repro.core.merge import MergePolicy, MergeResult, merge_graphs, naive_merge
-
-__all__ = [
-    "Block",
-    "BlockClass",
-    "BlockTypeSpec",
-    "Connector",
-    "MergePolicy",
-    "MergeResult",
-    "ProcessingGraph",
-    "block_registry",
-    "merge_graphs",
-    "naive_merge",
-]

@@ -18,21 +18,3 @@ stopping at the first hit. At the group sizes the apps build, far below
 the crossover the DPI ablation measures, that beats a pure-Python
 multi-pattern automaton.
 """
-
-from repro.core.classify.header import HeaderRuleSet, LinearMatcher
-from repro.core.classify.regex import RegexPattern, RegexRuleSet
-from repro.core.classify.rules import HeaderRule, PortRange, Prefix
-from repro.core.classify.tcam import TcamMatcher
-from repro.core.classify.trie import TrieMatcher
-
-__all__ = [
-    "HeaderRule",
-    "HeaderRuleSet",
-    "LinearMatcher",
-    "PortRange",
-    "Prefix",
-    "RegexPattern",
-    "RegexRuleSet",
-    "TcamMatcher",
-    "TrieMatcher",
-]

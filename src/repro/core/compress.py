@@ -77,14 +77,7 @@ def _prune_unreachable(tree: ProcessingGraph, entry: str) -> None:
     empty, the inner subtree for that branch has no rule mapping to it.
     Such subtrees must be removed or they would dangle as spurious roots.
     """
-    reachable: set[str] = set()
-    stack = [entry]
-    while stack:
-        name = stack.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        stack.extend(tree.successors(name))
+    reachable = tree.reachable([entry])
     for name in [name for name in tree.blocks if name not in reachable]:
         tree.remove_block(name)
 

@@ -181,6 +181,17 @@ class ProcessingGraph:
         """Blocks with no incoming connector (entry points), in insertion order."""
         return [name for name in self.blocks if not self._in.get(name)]
 
+    def reachable(self, starts: Iterable[str]) -> set[str]:
+        """The blocks some path from ``starts`` reaches, ``starts`` included."""
+        seen: set[str] = set()
+        stack = list(starts)
+        while stack:
+            name = stack.pop()
+            if name not in seen:
+                seen.add(name)
+                stack.extend(self.successors(name))
+        return seen
+
     def leaves(self) -> list[str]:
         """Blocks with no outgoing connector, in insertion order."""
         return [name for name in self.blocks if not self._out.get(name)]

@@ -7,18 +7,3 @@ reports load, and raises alerts. The paper's implementation wraps the
 Click modular router; :mod:`repro.obi.engine` is the Python analog —
 a push-based element engine with the same block semantics.
 """
-
-from repro.obi.engine import Element, Engine, EngineContext, PacketOutcome
-from repro.obi.instance import ObiConfig, OpenBoxInstance
-from repro.obi.storage import MetadataCodec, SessionStorage
-
-__all__ = [
-    "Element",
-    "Engine",
-    "EngineContext",
-    "MetadataCodec",
-    "ObiConfig",
-    "OpenBoxInstance",
-    "PacketOutcome",
-    "SessionStorage",
-]

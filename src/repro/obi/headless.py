@@ -13,7 +13,7 @@ eviction is **counted** (``dropped``), never silent — on replay the
 controller learns both every surviving event and exactly how many were
 lost, so its view is degraded but honest.
 
-The ring mechanics now live in :class:`repro.telemetry.TelemetryRing`
+The ring mechanics now live in :class:`repro.telemetry.ring.TelemetryRing`
 (the same bounded, drop-accounted log backs the streaming telemetry bus
 of PROTOCOL.md §13); ``HeadlessBuffer`` keeps its original push/drain/
 requeue surface as a thin subclass.

@@ -29,8 +29,9 @@ locked.
 from __future__ import annotations
 
 import bisect
+import re
 import threading
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 #: Default latency boundaries (seconds): 10 µs .. 5 s, roughly log-spaced.
 LATENCY_BUCKETS = (
@@ -199,15 +200,8 @@ def default_registry() -> MetricsRegistry:
     return _default
 
 
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the previous one."""
-    global _default
-    previous, _default = _default, registry
-    return previous
-
-
 # ----------------------------------------------------------------------
-# Snapshot algebra (used by `repro.tools.obsv`)
+# Snapshot algebra and exposition (used by `repro.tools.obsv`)
 # ----------------------------------------------------------------------
 def diff_snapshots(
     before: dict[str, Any], after: dict[str, Any]
@@ -241,3 +235,87 @@ def diff_snapshots(
         if delta_count:
             histograms[key] = {"count": delta_count, "sum": delta_sum}
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+
+_KEYED = re.compile(r"^(?P<name>[^{]+)\{(?P<labels>.*)\}$")
+_INVALID_NAME_CHAR = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _split_key(key: str) -> tuple[str, dict[str, str]]:
+    """``name{k=v,...}`` → (name, labels); bare names pass through."""
+    match = _KEYED.match(key)
+    if not match:
+        return key, {}
+    labels: dict[str, str] = {}
+    for pair in match.group("labels").split(","):
+        if not pair:
+            continue
+        k, _, v = pair.partition("=")
+        labels[k.strip()] = v.strip()
+    return match.group("name"), labels
+
+
+def _format(value: float) -> str:
+    if value == float("inf"):
+        return "+Inf"
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+def _sample(name: str, labels: dict[str, str], value: float) -> str:
+    name = _INVALID_NAME_CHAR.sub("_", name)
+    if not labels:
+        return f"{name} {_format(value)}"
+    inner = ",".join(
+        f'{k}="{_escape(str(v))}"' for k, v in sorted(labels.items())
+    )
+    return f"{name}{{{inner}}} {_format(value)}"
+
+
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _histogram_samples(key: str, hist: dict[str, Any]) -> Iterator[str]:
+    name, labels = _split_key(key)
+    counts = list(hist.get("counts", []))
+    cumulative = 0
+    for index, bound in enumerate(hist.get("boundaries", [])):
+        cumulative += counts[index] if index < len(counts) else 0
+        yield _sample(
+            f"{name}_bucket", {**labels, "le": _format(float(bound))},
+            cumulative,
+        )
+    total = hist.get("count", sum(counts))
+    yield _sample(f"{name}_bucket", {**labels, "le": "+Inf"}, total)
+    yield _sample(f"{name}_count", labels, total)
+    yield _sample(f"{name}_sum", labels, hist.get("sum", 0.0))
+
+
+def render_prometheus(metrics: dict[str, Any]) -> str:
+    """Prometheus exposition text (0.0.4) for one snapshot dict.
+
+    Counters and gauges become single samples; a histogram expands into
+    cumulative ``_bucket`` series with ``le`` labels plus ``_count`` and
+    ``_sum``. Registry keys ``name{k=v,...}`` become Prometheus labels
+    (``name{k="v",...}``), and each family gets one ``# TYPE`` line.
+    """
+    lines: list[str] = []
+    typed: set[str] = set()
+    for section, kind in (
+        ("counters", "counter"), ("gauges", "gauge"),
+        ("histograms", "histogram"),
+    ):
+        values = metrics.get(section, {})
+        for key in sorted(values):
+            name, labels = _split_key(key)
+            family = _INVALID_NAME_CHAR.sub("_", name)
+            if family not in typed:
+                typed.add(family)
+                lines.append(f"# TYPE {family} {kind}")
+            if kind == "histogram":
+                lines.extend(_histogram_samples(key, values[key]))
+            else:
+                lines.append(_sample(name, labels, values[key]))
+    return "\n".join(lines) + "\n"

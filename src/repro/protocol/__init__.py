@@ -11,59 +11,3 @@ dual REST channel. This package provides:
   block-type registry for capability advertisement in ``Hello``;
 * :mod:`repro.protocol.errors` — protocol-level error codes.
 """
-
-from repro.protocol.codec import PROTOCOL_VERSION, CodecError, decode_message, encode_message
-from repro.protocol.errors import ErrorCode, ProtocolError
-from repro.protocol.messages import (
-    AddCustomModuleRequest,
-    AddCustomModuleResponse,
-    Alert,
-    BarrierRequest,
-    BarrierResponse,
-    ErrorMessage,
-    GlobalStatsRequest,
-    GlobalStatsResponse,
-    Hello,
-    KeepAlive,
-    ListCapabilitiesRequest,
-    ListCapabilitiesResponse,
-    LogMessage,
-    Message,
-    ReadRequest,
-    ReadResponse,
-    SetExternalServices,
-    SetProcessingGraphRequest,
-    SetProcessingGraphResponse,
-    WriteRequest,
-    WriteResponse,
-)
-
-__all__ = [
-    "AddCustomModuleRequest",
-    "AddCustomModuleResponse",
-    "Alert",
-    "BarrierRequest",
-    "BarrierResponse",
-    "CodecError",
-    "ErrorCode",
-    "ErrorMessage",
-    "GlobalStatsRequest",
-    "GlobalStatsResponse",
-    "Hello",
-    "KeepAlive",
-    "ListCapabilitiesRequest",
-    "ListCapabilitiesResponse",
-    "LogMessage",
-    "Message",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ReadRequest",
-    "ReadResponse",
-    "SetExternalServices",
-    "SetProcessingGraphRequest",
-    "SetProcessingGraphResponse",
-    "WriteRequest",
-    "WriteResponse",
-    "decode_message",
-    "encode_message",
-]

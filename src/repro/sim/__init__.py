@@ -14,23 +14,3 @@ packet trace. This package substitutes (see DESIGN.md):
   links, OBI placements, service chains with NSH hand-off;
 * :mod:`repro.sim.runner` — the experiment harness the benchmarks call.
 """
-
-from repro.sim.costmodel import CostModel, VmSpec
-from repro.sim.runner import (
-    ChainMeasurement,
-    measure_chain,
-    measure_merged,
-    throughput_region,
-)
-from repro.sim.traffic import TraceConfig, TrafficGenerator
-
-__all__ = [
-    "ChainMeasurement",
-    "CostModel",
-    "TraceConfig",
-    "TrafficGenerator",
-    "VmSpec",
-    "measure_chain",
-    "measure_merged",
-    "throughput_region",
-]

@@ -12,37 +12,3 @@ Wire format: ``TelemetrySubscribe`` / ``TelemetryStream`` /
 carry ring sequence numbers, the subscriber's cursor dedupes replays,
 and eviction is never silent (drop accounting + rebaseline).
 """
-
-from repro.telemetry.ring import TelemetryRing
-from repro.telemetry.records import (
-    RECORD_KINDS,
-    TOPIC_ALERTS,
-    TOPIC_METRICS,
-    TOPIC_TRACES,
-    alert_record,
-    baseline_record,
-    fold_records,
-    metrics_delta_record,
-    record_topic,
-    trace_record,
-)
-from repro.telemetry.publisher import TelemetryPublisher
-from repro.telemetry.bus import TelemetryBus, TopicFilter, Watch
-
-__all__ = [
-    "TelemetryRing",
-    "TelemetryPublisher",
-    "TelemetryBus",
-    "TopicFilter",
-    "Watch",
-    "RECORD_KINDS",
-    "TOPIC_METRICS",
-    "TOPIC_TRACES",
-    "TOPIC_ALERTS",
-    "alert_record",
-    "baseline_record",
-    "fold_records",
-    "metrics_delta_record",
-    "record_topic",
-    "trace_record",
-]

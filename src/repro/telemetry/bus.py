@@ -233,10 +233,6 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     # Reading folded state
     # ------------------------------------------------------------------
-    def known_obis(self) -> list[str]:
-        with self._lock:
-            return sorted(self._states)
-
     def last_seq(self, obi_id: str) -> int:
         with self._lock:
             state = self._states.get(obi_id)

@@ -1,4 +1,4 @@
-"""Observability tooling: dump, diff, and inspect snapshots (PROTOCOL.md §9).
+"""Snapshot tooling: dump, diff, inspect and export (PROTOCOL.md §9).
 
 Usage::
 
@@ -6,6 +6,7 @@ Usage::
         [--max-traces 8] [--output snap.json]
     python -m repro.tools.obsv diff before.json after.json
     python -m repro.tools.obsv trace snap.json [--limit 3] [--app fw]
+    python -m repro.tools.obsv prom (--input snap.json | --demo) [--output F]
 
 ``dump`` stands up a miniature control plane (controller + one OBI over
 the in-process channel, merged firewall+IPS), drives synthetic traffic
@@ -15,7 +16,8 @@ writes it as JSON — a self-contained way to
 see what the telemetry pipeline produces. ``diff`` subtracts two dumped
 snapshots (counter/histogram deltas, gauge from→to). ``trace``
 pretty-prints the sampled per-packet trace trees inside a dump, spans
-attributed to their originating application.
+attributed to their originating application. ``prom`` renders a dump's
+metrics (or a fresh demo run's) as Prometheus exposition text.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.observability.metrics import diff_snapshots
+from repro.observability.metrics import diff_snapshots, render_prometheus
 from repro.observability.tracing import render_trace_tree
 
 FIREWALL_RULES = """
@@ -95,7 +97,7 @@ def _load_metrics(path: str) -> dict[str, Any]:
         data = json.load(handle)
     # Accept either a full ObservabilitySnapshotResponse dump or a bare
     # metrics snapshot ({counters, gauges, histograms}).
-    return data.get("metrics", data) if "metrics" in data else data
+    return data["metrics"] if "metrics" in data else data
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -137,6 +139,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_prom(args: argparse.Namespace) -> int:
+    if args.demo:
+        metrics = _build_demo_snapshot(
+            args.packets, trace_sample=0.0, max_traces=0
+        )["metrics"]
+    else:
+        metrics = _load_metrics(args.input)
+    text = render_prometheus(metrics)
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(text)
+        print(f"wrote {args.output}: {len(text.splitlines())} lines")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.obsv", description=__doc__.splitlines()[0]
@@ -167,6 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--app", default="",
                        help="only traces touching this application's blocks")
     trace.set_defaults(func=_cmd_trace)
+
+    prom = commands.add_parser(
+        "prom", help="render metrics as Prometheus exposition text"
+    )
+    source = prom.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", "-i",
+                        help="metrics JSON (a dump or a bare snapshot)")
+    source.add_argument("--demo", action="store_true",
+                        help="run the demo topology and render its metrics")
+    prom.add_argument("--packets", type=int, default=500,
+                      help="demo traffic volume (with --demo)")
+    prom.add_argument("--output", "-o",
+                      help="write exposition text here instead of stdout")
+    prom.set_defaults(func=_cmd_prom)
     return parser
 
 

@@ -16,23 +16,3 @@ Plus two composable wrappers for fault tolerance:
 * :mod:`repro.transport.retry` — bounded exponential-backoff retry,
   safe because receivers deduplicate by ``xid``.
 """
-
-from repro.transport.base import Channel, ChannelClosed, ChannelTimeout, MessageHandler
-from repro.transport.faults import FaultPlan, FaultyChannel
-from repro.transport.inproc import InProcPair
-from repro.transport.rest import RestEndpoint, RestPeerChannel
-from repro.transport.retry import ResilientChannel, RetryPolicy
-
-__all__ = [
-    "Channel",
-    "ChannelClosed",
-    "ChannelTimeout",
-    "FaultPlan",
-    "FaultyChannel",
-    "InProcPair",
-    "MessageHandler",
-    "ResilientChannel",
-    "RestEndpoint",
-    "RestPeerChannel",
-    "RetryPolicy",
-]

@@ -134,12 +134,6 @@ class TestScalingManager:
         # ...until it elapses.
         assert len(manager.evaluate(now=200.0)) == 1
 
-    def test_group_of(self):
-        manager, _tracker, _prov = self._manager()
-        manager.register_group("fw", ["obi-1"])
-        assert manager.group_of("obi-1") == "fw"
-        assert manager.group_of("ghost") is None
-
     def test_actions_audit_trail(self):
         manager, tracker, _prov = self._manager()
         manager.register_group("fw", ["obi-1"])

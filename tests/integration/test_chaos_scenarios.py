@@ -10,8 +10,8 @@ through ``OpenBoxController.recover``.
 
 import pytest
 
-from repro.chaos import ScenarioRunner, acceptance_scenario, step
-from repro.chaos.scenario import Scenario
+from repro.chaos.scenario import Scenario, ScenarioRunner, step
+from repro.chaos.search import acceptance_scenario
 from repro.controller.journal import StateJournal
 from repro.controller.obc import OpenBoxController
 

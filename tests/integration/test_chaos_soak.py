@@ -11,7 +11,8 @@ import itertools
 
 import pytest
 
-from repro.chaos import ScenarioRunner, random_scenario, run_soak
+from repro.chaos.scenario import ScenarioRunner
+from repro.chaos.search import random_scenario, run_soak
 
 pytestmark = pytest.mark.chaos
 

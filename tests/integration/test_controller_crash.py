@@ -9,7 +9,7 @@ reality already matches (no duplicate deploy side effects), re-pushing
 where it does not. The stale predecessor is fenced by generation.
 
 Every test runs on the standard chaos topology
-(:class:`~repro.chaos.ChaosEnv`): recover-in-place restarts the leader
+(:class:`~repro.chaos.env.ChaosEnv`): recover-in-place restarts the leader
 from its own journal at the same address, and the scenario class at the
 end drives the standby-failover expression of the same crash.
 """
@@ -17,8 +17,8 @@ end drives the standby-failover expression of the same crash.
 import pytest
 
 from repro.bootstrap import reconnect_inproc
-from repro.chaos import ChaosEnv, Scenario, ScenarioRunner, step
-from repro.chaos.env import _APP_FACTORIES, PACKETS
+from repro.chaos.env import _APP_FACTORIES, PACKETS, ChaosEnv
+from repro.chaos.scenario import Scenario, ScenarioRunner, step
 from repro.controller.obc import OpenBoxController
 from repro.controller.reconcile import AntiEntropyLoop
 from repro.protocol.errors import ErrorCode, ProtocolError

@@ -9,15 +9,15 @@ ghost gets ``stale_generation`` everywhere it turns. Zero packets are
 dropped by headless-buffered OBIs and ``split_brain_accepts == 0``.
 
 Every test runs on the standard chaos topology
-(:class:`~repro.chaos.ChaosEnv`); the crash-and-fail-over drive itself
+(:class:`~repro.chaos.env.ChaosEnv`); the crash-and-fail-over drive itself
 is ``TestCrashMidDeployScenario`` in ``test_controller_crash.py``.
 """
 
 import pytest
 
 from repro.bootstrap import rehome_inproc
-from repro.chaos import ChaosEnv, Scenario, ScenarioRunner, step
-from repro.chaos.env import _APP_FACTORIES, LEASE_TTL
+from repro.chaos.env import _APP_FACTORIES, LEASE_TTL, ChaosEnv
+from repro.chaos.scenario import Scenario, ScenarioRunner, step
 from repro.controller.journal import StateJournal
 from repro.controller.obc import OpenBoxController
 from repro.controller.reconcile import AntiEntropyLoop

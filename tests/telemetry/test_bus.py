@@ -110,12 +110,6 @@ class TestFolding:
         assert len(response.traces) == 1
         assert bus.snapshot_response("nobody") is None
 
-    def test_known_obis(self):
-        bus = TelemetryBus()
-        bus.apply_stream(_stream([_baseline(1)], obi_id="b"))
-        bus.apply_stream(_stream([_baseline(1)], obi_id="a"))
-        assert bus.known_obis() == ["a", "b"]
-
 
 class TestTopicFilter:
     def test_topic_scoping(self):

@@ -23,13 +23,15 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: new code does not get to join.
 ORPHAN_ALLOWLIST = frozenset("""
     FirewallApp.block_source RateLimiterApp.set_rate WebCacheApp.add_page
-    FaultyStorage.healthy FaultyStorage.durable_size
+    LoadBalancerApp RateLimiterApp WebCacheApp
+    serve_controller_rest connect_obi_rest
+    FaultyStorage.healthy FaultyStorage.durable_size acceptance_scenario
     OpenBoxApplication.request_read OpenBoxApplication.request_stats
     LeaseStore.peek InProcLeaseStore.peek LeaseManager.is_leader
     OpenBoxController.unregister_application
     OpenBoxController.request_telemetry_rewind OpenBoxController.attribute_trace
     OptimizationReport.total_changes ReplicationHub.lag
-    ScalingManager.register_group ScalingManager.group_of
+    deploy_split verify_application ScalingManager.register_group
     ObiStatsTracker.live_obis TrafficSteering.register_chain
     TrafficSteering.set_selector TcamMatcher.entry_count
     ProcessingGraph.iter_paths ProcessingGraph.classifiers make_http_get
@@ -43,10 +45,11 @@ ORPHAN_ALLOWLIST = frozenset("""
     VmMeasurement.mean_path_length SimNetwork.add_multiplexer
     generate_firewall_rules generate_snort_web_rules
     ChainMeasurement.throughput_mbps ChainMeasurement.latency_us
-    ChainMeasurement.latency_percentile_us measure_single
+    ChainMeasurement.latency_percentile_us measure_single measure_merged
+    throughput_region
     SaturationResult.utilization_of simulate_saturation
     TrafficGenerator.overload_burst TrafficGenerator.syn_flood
-    TrafficGenerator.established_flows TelemetryBus.known_obis
+    TrafficGenerator.established_flows
     FaultyChannel.partitioned _Handler.log_message _Handler.do_POST
     RetryPolicy.worst_case
 """.split())
